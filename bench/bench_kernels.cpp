@@ -1,4 +1,5 @@
-// GEMM kernel throughput on the Table-I-dominant shapes plus one
+// GEMM kernel throughput on the Table-I-dominant shapes, batch-lane conv
+// forward throughput on the zoo's ResNet-20 and M11 conv layers, plus one
 // end-to-end profile-aware BFA trial, comparing the naive reference
 // against the dispatched backend (and full-forward candidate evaluation
 // against incremental suffix replay), and the float path against the true
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/bfa.h"
@@ -109,6 +111,59 @@ std::vector<Shape> table1_shapes() {
       // M11 1-D conv over a long time axis.
       {"m11.conv1d (nn)", k::gemm_nn, 64, 192, 2000},
   };
+}
+
+/// A zoo conv layer's forward geometry, at the eval batch.
+struct ConvCase {
+  const char* name;
+  k::ConvShape shape;
+};
+
+/// ResNet-20 (base width 8, 12x12 inputs) and M11 (256-sample waveforms)
+/// conv layers at the 256-sample accuracy-evaluation batch.
+std::vector<ConvCase> conv_cases() {
+  const auto conv2d = [](int c, int hw, int stride) {
+    return k::ConvShape{.batch = 256, .cin = c, .h = hw, .w = hw, .cout = c,
+                        .kh = 3, .kw = 3, .stride = stride, .pad_h = 1,
+                        .pad_w = 1};
+  };
+  const auto conv1d = [](int cin, int cout, int len, int kw, int stride) {
+    return k::ConvShape{.batch = 256, .cin = cin, .h = 1, .w = len,
+                        .cout = cout, .kh = 1, .kw = kw, .stride = stride,
+                        .pad_h = 0, .pad_w = kw / 2};
+  };
+  return {
+      {"resnet20.stage0", conv2d(8, 12, 1)},
+      {"resnet20.stage1", conv2d(16, 6, 1)},
+      {"resnet20.stage2", conv2d(32, 3, 1)},
+      {"m11.g0", conv1d(1, 12, 256, 9, 2)},
+      {"m11.g3", conv1d(48, 48, 16, 3, 1)},
+  };
+}
+
+/// Sustained GFLOP/s of conv_fwd (dense count: 2 * outputs * patch) on one
+/// layer for the currently set backend.
+double measure_conv_gflops(const k::ConvShape& s, double min_secs) {
+  Rng rng(3);
+  std::vector<float> x(static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w);
+  std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch());
+  const double outputs =
+      static_cast<double>(s.batch) * s.cout * s.out_h() * s.out_w();
+  std::vector<float> y(static_cast<std::size_t>(outputs));
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  for (auto& v : w) v = static_cast<float>(rng.normal() * 0.05);
+
+  k::conv_fwd(x.data(), w.data(), nullptr, y.data(), s);  // warm-up
+  std::int64_t iters = 0;
+  const double t0 = now_secs();
+  double elapsed = 0.0;
+  do {
+    k::conv_fwd(x.data(), w.data(), nullptr, y.data(), s);
+    ++iters;
+    elapsed = now_secs() - t0;
+  } while (elapsed < min_secs);
+  return 2.0 * outputs * s.patch() * static_cast<double>(iters) / elapsed /
+         1e9;
 }
 
 /// Sustained int8 GOP/s (1 multiply-accumulate = 2 ops, like the float
@@ -289,21 +344,32 @@ bool int8_top1_parity(const TrialFixture& fx, int samples) {
   return parity;
 }
 
-void write_json(double gemm_gflops, double qgemm_gops,
-                double qgemm_batched_gops, double trial_float_naive_ms,
-                double trial_wall_ms, double trial_int8_wall_ms) {
+void write_json(double gemm_gflops,
+                const std::vector<std::pair<std::string, double>>& conv_gflops,
+                double qgemm_gops, double qgemm_batched_gops,
+                double trial_float_naive_ms, double trial_wall_ms,
+                double trial_int8_wall_ms) {
   const char* commit = std::getenv("RP_COMMIT");
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
     return;
   }
+  std::string conv = "{";
+  for (const auto& [name, gflops] : conv_gflops) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "%s\"%s\": %.3f",
+                  conv.size() > 1 ? ", " : "", name.c_str(), gflops);
+    conv += buf;
+  }
+  conv += "}";
   std::fprintf(f,
-               "{\"gemm_gflops\": %.3f, \"qgemm_gops\": %.3f, "
+               "{\"gemm_gflops\": %.3f, \"conv_fwd_gflops\": %s, "
+               "\"qgemm_gops\": %.3f, "
                "\"qgemm_batched_gops\": %.3f, \"trial_float_naive_ms\": %.1f, "
                "\"trial_wall_ms\": %.1f, "
                "\"trial_int8_wall_ms\": %.1f, \"commit\": \"%s\"}\n",
-               gemm_gflops, qgemm_gops, qgemm_batched_gops,
+               gemm_gflops, conv.c_str(), qgemm_gops, qgemm_batched_gops,
                trial_float_naive_ms, trial_wall_ms, trial_int8_wall_ms,
                commit ? commit : "unknown");
   std::fclose(f);
@@ -376,6 +442,19 @@ int main(int argc, char** argv) {
                 s.name, s.m, s.k, s.n, naive, fast, fast / naive);
   }
 
+  std::printf("conv forward throughput at batch 256, naive lowering vs %s\n",
+              k::backend_name(active));
+  std::vector<std::pair<std::string, double>> conv_gflops;
+  for (const ConvCase& c : conv_cases()) {
+    k::set_backend(k::Backend::kNaive);
+    const double naive = measure_conv_gflops(c.shape, 0.4);
+    k::set_backend(active);
+    const double fast = measure_conv_gflops(c.shape, 0.4);
+    conv_gflops.emplace_back(c.name, fast);
+    std::printf("  %-24s cin=%-3d cout=%-3d %7.2f -> %7.2f GFLOP/s (%.2fx)\n",
+                c.name, c.shape.cin, c.shape.cout, naive, fast, fast / naive);
+  }
+
   std::printf("int8 GEMM throughput, %s backend, dominant conv shape\n",
               k::backend_name(active));
   const double qgops = measure_qgemm_gops(16, 144, 1024, 1, 0.4);
@@ -410,7 +489,7 @@ int main(int argc, char** argv) {
               baseline_ms, optimized_ms, baseline_ms / optimized_ms, int8_ms,
               baseline_ms / int8_ms);
 
-  write_json(dominant_gflops, qgops, qgops_batched, baseline_ms, optimized_ms,
-             int8_ms);
+  write_json(dominant_gflops, conv_gflops, qgops, qgops_batched, baseline_ms,
+             optimized_ms, int8_ms);
   return 0;
 }

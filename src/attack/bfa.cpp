@@ -8,6 +8,7 @@
 #include "common/bitutil.h"
 #include "common/check.h"
 #include "nn/module.h"
+#include "telemetry/scoped_timer.h"
 
 namespace rowpress::attack {
 
@@ -27,6 +28,15 @@ void ProgressiveBitFlipAttack::bind_telemetry(
     tel_.suffix_forward_passes =
         &metrics->counter("attack.suffix_forward_passes");
     tel_.candidate_pool = &metrics->gauge("attack.candidate_pool");
+    // Stage wall times in ns: a ResNet-20 ranking pass takes tens of ms, an
+    // accuracy evaluation up to seconds.
+    static const std::vector<double> kStageBounds{
+        1e5, 1e6, 4e6, 16e6, 64e6, 256e6, 1e9, 4e9};
+    tel_.stage_grad = &metrics->histogram("attack.stage.grad_ns", kStageBounds);
+    tel_.stage_rank = &metrics->histogram("attack.stage.rank_ns", kStageBounds);
+    tel_.stage_replay =
+        &metrics->histogram("attack.stage.replay_ns", kStageBounds);
+    tel_.stage_eval = &metrics->histogram("attack.stage.eval_ns", kStageBounds);
   } else {
     tel_ = Telemetry{};
   }
@@ -194,13 +204,16 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
     // Gradients of the attack objective w.r.t. the quantized weights.  With
     // incremental evaluation on, this forward also records each child's
     // input for the suffix replays below.
+    telemetry::ScopedTimer grad_timer(tel_.stage_grad);
     model.zero_grad();
     if (seq) seq->set_capture_activations(true);
     if (tel_.forward_passes) tel_.forward_passes->add();
     const nn::Tensor logits = model.forward(batch_inputs);
     ce.forward(logits, batch_labels);
     model.backward(ce.backward());
+    grad_timer.stop();
 
+    telemetry::ScopedTimer rank_timer(tel_.stage_rank);
     auto candidates = intra_layer_search(qmodel, feasible,
                                          feasible ? &used : nullptr);
 
@@ -224,10 +237,12 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
       order.resize(static_cast<std::size_t>(config_.max_layer_trials));
     if (tel_.layer_trials)
       tel_.layer_trials->add(static_cast<std::int64_t>(order.size()));
+    rank_timer.stop();
 
     // Inter-layer search: try each layer's candidate, keep the max loss.
     // With captures available, a tentative flip in layer l only needs the
     // children from l's Sequential child onward re-run.
+    telemetry::ScopedTimer replay_timer(tel_.stage_replay);
     double best_loss = -1.0;
     int best_layer = -1;
     for (const int l : order) {
@@ -251,6 +266,7 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
         best_layer = l;
       }
     }
+    replay_timer.stop();
     RP_ASSERT(best_layer >= 0, "inter-layer search found no layer");
     // Accuracy checks below must run full (non-replayed) forwards.
     if (seq) seq->set_capture_activations(false);
@@ -269,6 +285,7 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
         }
       }
     }
+    telemetry::ScopedTimer eval_timer(tel_.stage_eval);
     rec.accuracy_after =
         inc_eval ? inc_eval->from_child(
                        static_cast<std::size_t>(
@@ -276,6 +293,7 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
                        tel_.forward_passes, tel_.suffix_forward_passes)
                  : subset_accuracy(model, eval_data, eval_idx,
                                    tel_.forward_passes);
+    eval_timer.stop();
     result.accuracy_after = rec.accuracy_after;
     result.flips.push_back(rec);
     if (tel_.flips) tel_.flips->add();

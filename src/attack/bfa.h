@@ -88,7 +88,9 @@ class ProgressiveBitFlipAttack {
 
   /// Attaches search-cost telemetry (either pointer may be null):
   /// counters attack.iterations / forward_passes / bits_evaluated /
-  /// layer_trials / flips, gauge attack.candidate_pool, and one
+  /// layer_trials / flips, gauge attack.candidate_pool, histograms
+  /// attack.stage.{grad,rank,replay,eval}_ns (each iteration's wall time
+  /// per BFA stage; clocks are read only while bound), and one
   /// "bfa.iteration" trace span per search iteration carrying loss /
   /// accuracy / flip-count args.
   void bind_telemetry(telemetry::MetricsRegistry* metrics,
@@ -143,6 +145,12 @@ class ProgressiveBitFlipAttack {
     /// replay) instead of a full forward.
     telemetry::Counter* suffix_forward_passes = nullptr;
     telemetry::Gauge* candidate_pool = nullptr;
+    /// Per-iteration stage wall times (ns): gradient pass, intra-layer
+    /// ranking, inter-layer suffix replay, post-flip accuracy evaluation.
+    telemetry::Histogram* stage_grad = nullptr;
+    telemetry::Histogram* stage_rank = nullptr;
+    telemetry::Histogram* stage_replay = nullptr;
+    telemetry::Histogram* stage_eval = nullptr;
   };
   Telemetry tel_;
   telemetry::TraceCollector* trace_ = nullptr;

@@ -9,23 +9,6 @@
 namespace rowpress::nn {
 namespace {
 
-// im2col for 1-D: expands [Cin, L] into [Cin*k, OL] so the convolution is
-// one GEMM per sample (same scheme as Conv2d).
-void im2col1d(const float* x, int cin, int len, int k, int stride, int pad,
-              int ol, float* col) {
-  for (int ci = 0; ci < cin; ++ci) {
-    const float* line = x + static_cast<std::size_t>(ci) * len;
-    for (int ki = 0; ki < k; ++ki) {
-      float* crow = col + (static_cast<std::size_t>(ci) * k + ki) *
-                              static_cast<std::size_t>(ol);
-      for (int i = 0; i < ol; ++i) {
-        const int li = i * stride - pad + ki;
-        crow[i] = (li >= 0 && li < len) ? line[li] : 0.0f;
-      }
-    }
-  }
-}
-
 // Transposed im2col for the int8 path: [OL, Cin*k], one patch per row
 // (see Conv2d::im2col_rows).
 void im2col1d_rows(const float* x, int cin, int len, int k, int stride,
@@ -38,21 +21,6 @@ void im2col1d_rows(const float* x, int cin, int len, int k, int stride,
       for (int ki = 0; ki < k; ++ki) {
         const int li = i * stride - pad + ki;
         row[ci * k + ki] = (li >= 0 && li < len) ? line[li] : 0.0f;
-      }
-    }
-  }
-}
-
-void col2im1d(const float* col, int cin, int len, int k, int stride, int pad,
-              int ol, float* x) {
-  for (int ci = 0; ci < cin; ++ci) {
-    float* line = x + static_cast<std::size_t>(ci) * len;
-    for (int ki = 0; ki < k; ++ki) {
-      const float* crow = col + (static_cast<std::size_t>(ci) * k + ki) *
-                                    static_cast<std::size_t>(ol);
-      for (int i = 0; i < ol; ++i) {
-        const int li = i * stride - pad + ki;
-        if (li >= 0 && li < len) line[li] += crow[i];
       }
     }
   }
@@ -120,19 +88,8 @@ Tensor Conv1d::forward(const Tensor& x) {
     return y;
   }
 
-  const std::size_t col_size = static_cast<std::size_t>(patch) * ol;
-  if (col_.size() < col_size) col_.resize(col_size);
-  for (int b = 0; b < n; ++b) {
-    im2col1d(xp + static_cast<std::size_t>(b) * cin_ * len, cin_, len, k_,
-             stride_, pad_, ol, col_.data());
-    float* out = yp + static_cast<std::size_t>(b) * cout_ * ol;
-    if (has_bias_) {
-      const float* bp = bias_.value.cdata();
-      for (int co = 0; co < cout_; ++co)
-        std::fill_n(out + static_cast<std::size_t>(co) * ol, ol, bp[co]);
-    }
-    kernels::gemm_nn(wp, col_.data(), out, cout_, patch, ol);
-  }
+  kernels::conv_fwd(xp, wp, has_bias_ ? bias_.value.cdata() : nullptr, yp,
+                    shape(n, len));
   return y;
 }
 
@@ -140,7 +97,8 @@ Tensor Conv1d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const int n = x.dim(0), len = x.dim(2);
   const int ol = grad_out.dim(2);
-  const int patch = cin_ * k_;
+  const kernels::ConvShape cs = shape(n, len);
+  const int patch = cs.patch();
 
   Tensor grad_in(x.shape());
   float* gip = grad_in.data();
@@ -153,8 +111,8 @@ Tensor Conv1d::backward(const Tensor& grad_out) {
   if (gcol_.size() < col_size) gcol_.resize(col_size);
   for (int b = 0; b < n; ++b) {
     const float* g = gp + static_cast<std::size_t>(b) * cout_ * ol;
-    im2col1d(xp + static_cast<std::size_t>(b) * cin_ * len, cin_, len, k_,
-             stride_, pad_, ol, col_.data());
+    kernels::im2col(xp + static_cast<std::size_t>(b) * cin_ * len, cs,
+                    col_.data());
     // dW[cout, patch] += g[cout, ol] * col^T
     kernels::gemm_nt(g, col_.data(), wg, cout_, ol, patch);
     if (has_bias_) {
@@ -169,10 +127,15 @@ Tensor Conv1d::backward(const Tensor& grad_out) {
     // dcol = W^T * g
     std::fill_n(gcol_.data(), col_size, 0.0f);
     kernels::gemm_tn(wp, g, gcol_.data(), cout_, patch, ol);
-    col2im1d(gcol_.data(), cin_, len, k_, stride_, pad_, ol,
-             gip + static_cast<std::size_t>(b) * cin_ * len);
+    kernels::col2im(gcol_.data(), cs,
+                    gip + static_cast<std::size_t>(b) * cin_ * len);
   }
   return grad_in;
+}
+
+kernels::ConvShape Conv1d::shape(int n, int len) const {
+  return {.batch = n, .cin = cin_, .h = 1, .w = len, .cout = cout_, .kh = 1,
+          .kw = k_, .stride = stride_, .pad_h = 0, .pad_w = pad_};
 }
 
 std::vector<Param*> Conv1d::parameters() {

@@ -1,6 +1,7 @@
 // 1-D convolution (NCL layout) for the M11 raw-waveform speech model.
 #pragma once
 
+#include "nn/kernels/kernels.h"
 #include "nn/module.h"
 
 namespace rowpress::nn {
@@ -20,12 +21,15 @@ class Conv1d final : public Module {
   int out_size(int in_size) const { return (in_size + 2 * pad_ - k_) / stride_ + 1; }
 
  private:
+  /// Kernel geometry of a batch of n inputs.
+  kernels::ConvShape shape(int n, int len) const;
+
   int cin_, cout_, k_, stride_, pad_;
   bool has_bias_;
   Param weight_;  ///< [cout, cin, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// im2col scratch, reused across calls (grown on demand).
+  /// Backward's im2col scratch, reused across calls (grown on demand).
   std::vector<float> col_;
   std::vector<float> gcol_;
   // Int8-path scratch (same scheme as Conv2d: transposed patches, batch as

@@ -2,55 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/qgemm.h"
 
 namespace rowpress::nn {
 namespace {
-
-// im2col: expands input [Cin,H,W] into a matrix [Cin*k*k, OH*OW] so the
-// convolution becomes one GEMM per sample.  Out-of-bounds taps are zero.
-void im2col(const float* x, int cin, int h, int w, int k, int stride, int pad,
-            int oh, int ow, float* col) {
-  for (int ci = 0; ci < cin; ++ci) {
-    const float* plane = x + static_cast<std::size_t>(ci) * h * w;
-    for (int ki = 0; ki < k; ++ki) {
-      for (int kj = 0; kj < k; ++kj) {
-        float* crow = col + ((static_cast<std::size_t>(ci) * k + ki) * k + kj) *
-                                (static_cast<std::size_t>(oh) * ow);
-        // Interior columns for this tap: j*stride - pad + kj in [0, w).
-        // Outside them the tap is a pad zero, so each output row is a
-        // zero prefix, an unchecked contiguous/strided copy, and a zero
-        // suffix — no per-element bounds tests on the hot path.
-        int j_lo = pad - kj > 0 ? (pad - kj + stride - 1) / stride : 0;
-        if (j_lo > ow) j_lo = ow;
-        int j_hi = w - 1 - kj + pad < 0 ? 0 : (w - 1 - kj + pad) / stride + 1;
-        if (j_hi > ow) j_hi = ow;
-        if (j_hi < j_lo) j_hi = j_lo;
-        for (int i = 0; i < oh; ++i) {
-          const int hi = i * stride - pad + ki;
-          float* dst = crow + static_cast<std::size_t>(i) * ow;
-          if (hi < 0 || hi >= h) {
-            std::fill_n(dst, ow, 0.0f);
-            continue;
-          }
-          const float* src = plane + static_cast<std::size_t>(hi) * w;
-          std::fill_n(dst, j_lo, 0.0f);
-          if (stride == 1) {
-            std::memcpy(dst + j_lo, src + (j_lo - pad + kj),
-                        static_cast<std::size_t>(j_hi - j_lo) * sizeof(float));
-          } else {
-            for (int j = j_lo; j < j_hi; ++j)
-              dst[j] = src[j * stride - pad + kj];
-          }
-          std::fill_n(dst + j_hi, ow - j_hi, 0.0f);
-        }
-      }
-    }
-  }
-}
 
 // Strip-wise transposed im2col for the int8 path: fills the patch rows
 // [ow, Cin*k*k] of ONE output row i of the [OH*OW, Cin*k*k] matrix — one
@@ -123,42 +80,6 @@ void im2col_strip(const float* x, int cin, int h, int w, int k, int stride,
   }
 }
 
-// col2im: scatter-adds a [Cin*k*k, OH*OW] gradient matrix back to [Cin,H,W].
-void col2im(const float* col, int cin, int h, int w, int k, int stride,
-            int pad, int oh, int ow, float* x) {
-  for (int ci = 0; ci < cin; ++ci) {
-    float* plane = x + static_cast<std::size_t>(ci) * h * w;
-    for (int ki = 0; ki < k; ++ki) {
-      for (int kj = 0; kj < k; ++kj) {
-        const float* crow =
-            col + ((static_cast<std::size_t>(ci) * k + ki) * k + kj) *
-                      (static_cast<std::size_t>(oh) * ow);
-        // Same interior-column bounds as im2col; out-of-range taps have
-        // no image cell, so only the interior scatters (each target gets
-        // exactly one add per tap — element-independent, bit-exact).
-        int j_lo = pad - kj > 0 ? (pad - kj + stride - 1) / stride : 0;
-        if (j_lo > ow) j_lo = ow;
-        int j_hi = w - 1 - kj + pad < 0 ? 0 : (w - 1 - kj + pad) / stride + 1;
-        if (j_hi > ow) j_hi = ow;
-        if (j_hi < j_lo) j_hi = j_lo;
-        for (int i = 0; i < oh; ++i) {
-          const int hi = i * stride - pad + ki;
-          if (hi < 0 || hi >= h) continue;
-          float* dst = plane + static_cast<std::size_t>(hi) * w;
-          const float* srow = crow + static_cast<std::size_t>(i) * ow;
-          if (stride == 1) {
-            float* d = dst + (j_lo - pad + kj);
-            for (int j = j_lo; j < j_hi; ++j) d[j - j_lo] += srow[j];
-          } else {
-            for (int j = j_lo; j < j_hi; ++j)
-              dst[j * stride - pad + kj] += srow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
@@ -192,8 +113,9 @@ Tensor Conv2d::forward(const Tensor& x) {
 
   // Int8 path: transposed im2col per sample (patches as rows), per-patch
   // activation quantization, then the WHOLE batch as one strided int8 GEMM
-  // followed by per-sample requantization.  Float path below stays the
-  // reference oracle; backward always runs float.
+  // followed by per-sample requantization.  The float path below (one
+  // batch-lane conv_fwd call) stays the reference oracle; backward always
+  // runs float.
   if (const QuantWeight* qw = weight_.qweight; qw != nullptr) {
     RP_REQUIRE(qw->rows == cout_ && qw->cols == patch,
                "conv2d int8 weight view shape mismatch");
@@ -229,30 +151,17 @@ Tensor Conv2d::forward(const Tensor& x) {
     return y;
   }
 
-  const std::size_t col_size = static_cast<std::size_t>(patch) * spatial;
-  if (col_.size() < col_size) col_.resize(col_size);
-  for (int b = 0; b < n; ++b) {
-    im2col(xp + static_cast<std::size_t>(b) * cin_ * h * w, cin_, h, w, k_,
-           stride_, pad_, oh, ow, col_.data());
-    float* out = yp + static_cast<std::size_t>(b) * cout_ * spatial;
-    if (has_bias_) {
-      const float* bp = bias_.value.cdata();
-      for (int co = 0; co < cout_; ++co)
-        std::fill_n(out + static_cast<std::size_t>(co) * spatial, spatial,
-                    bp[co]);
-    }
-    // y[cout, spatial] += W[cout, patch] * col[patch, spatial]
-    kernels::gemm_nn(wp, col_.data(), out, cout_, patch, spatial);
-  }
+  kernels::conv_fwd(xp, wp, has_bias_ ? bias_.value.cdata() : nullptr, yp,
+                    shape(n, h, w));
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const int patch = cin_ * k_ * k_;
-  const int spatial = oh * ow;
+  const kernels::ConvShape cs = shape(n, h, w);
+  const int patch = cs.patch();
+  const int spatial = grad_out.dim(2) * grad_out.dim(3);
 
   Tensor grad_in(x.shape());
   float* gip = grad_in.data();
@@ -266,8 +175,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   for (int b = 0; b < n; ++b) {
     const float* g = gp + static_cast<std::size_t>(b) * cout_ * spatial;
     // dW[cout, patch] += g[cout, spatial] * col^T (col as [patch, spatial]).
-    im2col(xp + static_cast<std::size_t>(b) * cin_ * h * w, cin_, h, w, k_,
-           stride_, pad_, oh, ow, col_.data());
+    kernels::im2col(xp + static_cast<std::size_t>(b) * cin_ * h * w, cs,
+                    col_.data());
     kernels::gemm_nt(g, col_.data(), wg, cout_, spatial, patch);
     if (has_bias_) {
       float* bg = bias_.grad.data();
@@ -281,10 +190,15 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // dcol[patch, spatial] = W^T[patch, cout] * g[cout, spatial]
     std::fill_n(gcol_.data(), col_size, 0.0f);
     kernels::gemm_tn(wp, g, gcol_.data(), cout_, patch, spatial);
-    col2im(gcol_.data(), cin_, h, w, k_, stride_, pad_, oh, ow,
-           gip + static_cast<std::size_t>(b) * cin_ * h * w);
+    kernels::col2im(gcol_.data(), cs,
+                    gip + static_cast<std::size_t>(b) * cin_ * h * w);
   }
   return grad_in;
+}
+
+kernels::ConvShape Conv2d::shape(int n, int h, int w) const {
+  return {.batch = n, .cin = cin_, .h = h, .w = w, .cout = cout_, .kh = k_,
+          .kw = k_, .stride = stride_, .pad_h = pad_, .pad_w = pad_};
 }
 
 std::vector<Param*> Conv2d::parameters() {

@@ -2,6 +2,7 @@
 // zero padding — the workhorse of the ResNet models.
 #pragma once
 
+#include "nn/kernels/kernels.h"
 #include "nn/module.h"
 
 namespace rowpress::nn {
@@ -21,12 +22,15 @@ class Conv2d final : public Module {
   int out_size(int in_size) const { return (in_size + 2 * pad_ - k_) / stride_ + 1; }
 
  private:
+  /// Kernel geometry of a batch of n inputs.
+  kernels::ConvShape shape(int n, int h, int w) const;
+
   int cin_, cout_, k_, stride_, pad_;
   bool has_bias_;
   Param weight_;  ///< [cout, cin, k, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// im2col scratch, reused across forward/backward calls (grown on demand)
+  /// Backward's im2col scratch, reused across calls (grown on demand)
   /// instead of reallocated per sample.
   std::vector<float> col_;
   std::vector<float> gcol_;

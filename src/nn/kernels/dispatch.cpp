@@ -1,4 +1,4 @@
-// Runtime backend selection + per-thread telemetry for the GEMM layer.
+// Runtime backend selection + per-thread telemetry for the kernel layer.
 #include "nn/kernels/kernels.h"
 
 #include <atomic>
@@ -60,18 +60,19 @@ Backend resolve_default() {
 
 thread_local telemetry::Histogram* t_gemm_hist = nullptr;
 thread_local telemetry::Histogram* t_qgemm_hist = nullptr;
+thread_local telemetry::Histogram* t_conv_hist = nullptr;
 
 // Timed dispatch: clock reads only happen on threads that bound a registry.
 template <typename F>
-inline void run_timed(F&& f) {
-  if (t_gemm_hist == nullptr) {
+inline void run_timed(telemetry::Histogram* hist, F&& f) {
+  if (hist == nullptr) {
     f();
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
   f();
   const auto t1 = std::chrono::steady_clock::now();
-  t_gemm_hist->record(static_cast<double>(
+  hist->record(static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
 }
 
@@ -148,12 +149,14 @@ void bind_metrics(telemetry::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     t_gemm_hist = nullptr;
     t_qgemm_hist = nullptr;
+    t_conv_hist = nullptr;
     return;
   }
   static const std::vector<double> kBounds{
       1e3, 4e3, 16e3, 64e3, 256e3, 1e6, 4e6, 16e6, 64e6};
   t_gemm_hist = &metrics->histogram("kernels.gemm_ns", kBounds);
   t_qgemm_hist = &metrics->histogram("kernels.qgemm_ns", kBounds);
+  t_conv_hist = &metrics->histogram("kernels.conv_ns", kBounds);
 }
 
 namespace detail {
@@ -161,7 +164,7 @@ telemetry::Histogram* bound_qgemm_histogram() { return t_qgemm_hist; }
 }  // namespace detail
 
 void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n) {
-  run_timed([&] {
+  run_timed(t_gemm_hist, [&] {
     switch (active_backend()) {
       case Backend::kNaive:
         ref::gemm_nn(a, b, c, m, k, n);
@@ -178,7 +181,7 @@ void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n) {
 }
 
 void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n) {
-  run_timed([&] {
+  run_timed(t_gemm_hist, [&] {
     switch (active_backend()) {
       case Backend::kNaive:
         ref::gemm_nt(a, b, c, m, k, n);
@@ -195,7 +198,7 @@ void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n) {
 }
 
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n) {
-  run_timed([&] {
+  run_timed(t_gemm_hist, [&] {
     switch (active_backend()) {
       case Backend::kNaive:
         ref::gemm_tn(a, b, c, m, k, n);
@@ -206,6 +209,24 @@ void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n) {
       case Backend::kAvx2:
       case Backend::kVnni:
         detail::avx2_gemm_tn(a, b, c, m, k, n);
+        break;
+    }
+  });
+}
+
+void conv_fwd(const float* x, const float* weight, const float* bias,
+              float* y, const ConvShape& s) {
+  run_timed(t_conv_hist, [&] {
+    switch (active_backend()) {
+      case Backend::kNaive:
+        ref::conv_fwd(x, weight, bias, y, s);
+        break;
+      case Backend::kPortable:
+        detail::portable_conv_fwd(x, weight, bias, y, s);
+        break;
+      case Backend::kAvx2:
+      case Backend::kVnni:
+        detail::avx2_conv_fwd(x, weight, bias, y, s);
         break;
     }
   });

@@ -1,12 +1,16 @@
-// Internal backend entry points for the GEMM layer.  dispatch.cpp routes
-// the public kernels.h API here; gemm.cpp implements them.  That TU is
-// compiled with -ffp-contract=off so the explicitly written multiply/add
-// sequences (the bit-exactness contract in kernels.h) cannot be re-fused
-// by the compiler.
+// Internal backend entry points for the float kernel layer.  dispatch.cpp
+// routes the public kernels.h API here; gemm.cpp and conv.cpp implement
+// them.  Both TUs are compiled with -ffp-contract=off so the explicitly
+// written multiply/add sequences (the bit-exactness contract in kernels.h)
+// cannot be re-fused by the compiler.
 #pragma once
 
 namespace rowpress::telemetry {
 class Histogram;
+}
+
+namespace rowpress::nn::kernels {
+struct ConvShape;
 }
 
 namespace rowpress::nn::kernels::detail {
@@ -50,5 +54,11 @@ void avx2_gemm_nt(const float* a, const float* b, float* c, int m, int k,
                   int n);
 void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
                   int n);
+
+void portable_conv_fwd(const float* x, const float* weight, const float* bias,
+                       float* y, const ConvShape& s);
+// Compiled only when kAvx2Compiled, like the avx2_gemm_* entry points.
+void avx2_conv_fwd(const float* x, const float* weight, const float* bias,
+                   float* y, const ConvShape& s);
 
 }  // namespace rowpress::nn::kernels::detail

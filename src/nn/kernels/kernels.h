@@ -1,5 +1,6 @@
-// Fast GEMM kernel layer: the three accumulate ops every layer builds on
-// (conv via im2col, linear, attention), runtime-dispatched over backends.
+// Fast kernel layer: the three GEMM accumulate ops every layer builds on
+// (linear, attention, conv backward via im2col) plus the batch-lane conv
+// forward, runtime-dispatched over backends.
 //
 // Bit-exactness contract
 // ----------------------
@@ -30,6 +31,15 @@
 //     the multiplies but kept the adds in order — legal without
 //     -fassociative-math — and fused only the tail.  Confirmed bitwise
 //     against that TU on the reference build environment, see above.)
+//
+//   conv_fwd:  each output element is exactly the gemm_nn element of the
+//     per-sample im2col lowering — an FMA chain over the patch index
+//     (ci, ki, kj) ascending, started from the bias (or +0.0f), zero
+//     weights skipped, padded taps FMA'd against +0.0f.  The naive backend
+//     runs that lowering literally (im2col + ref::gemm_nn per sample); the
+//     others run a batch-lane direct convolution whose SIMD lanes are the
+//     samples of the batch at one output position, so every lane executes
+//     the same chain and nothing is reduced across lanes.
 //
 // The blocked/SIMD paths may reorder loops, tile, pack, or keep partial
 // sums in registers, but never change any element's operation sequence.
@@ -62,7 +72,35 @@ void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n);
 /// C[K,N] += A^T * B where A is [M,K], B is [M,N].
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n);
 
-/// Backend used by the gemm_* entry points.  Resolved once, lazily: the
+/// Geometry of one convolution over a batch: input [batch, cin, h, w],
+/// weight [cout, cin, kh, kw], output [batch, cout, out_h(), out_w()].
+/// One stride for both axes; zero padding pad_h / pad_w on each side.
+/// A 1-D convolution over [batch, cin, len] is h = 1, kh = 1, pad_h = 0.
+struct ConvShape {
+  int batch = 0, cin = 0, h = 0, w = 0;
+  int cout = 0, kh = 0, kw = 0;
+  int stride = 1, pad_h = 0, pad_w = 0;
+
+  int out_h() const { return (h + 2 * pad_h - kh) / stride + 1; }
+  int out_w() const { return (w + 2 * pad_w - kw) / stride + 1; }
+  int patch() const { return cin * kh * kw; }
+};
+
+/// y = conv(x, weight) + bias over the whole batch (bias may be null).
+/// Overwrites y.  Bitwise equal to per-sample im2col + gemm_nn into a
+/// bias-filled (or zeroed) y; see the contract above.
+void conv_fwd(const float* x, const float* weight, const float* bias,
+              float* y, const ConvShape& s);
+
+/// im2col of ONE sample: expands x [cin, h, w] into col [patch, oh*ow],
+/// row (ci*kh + ki)*kw + kj; taps that land in the padding are +0.0f.
+void im2col(const float* x, const ConvShape& s, float* col);
+
+/// Inverse scatter of im2col for ONE sample: x [cin, h, w] += col; taps in
+/// the padding are dropped.  Adds land in (ci, ki, kj, position) order.
+void col2im(const float* col, const ConvShape& s, float* x);
+
+/// Backend used by the gemm_* and conv_fwd entry points.  Resolved once, lazily: the
 /// ROWPRESS_KERNEL environment variable ("naive" | "portable" | "avx2" |
 /// "vnni") when set, otherwise the fastest backend this CPU supports.  An
 /// env-requested backend that is not available here falls back to the
@@ -97,9 +135,10 @@ std::string cpu_features_string();
 void record_backend_gauges(telemetry::MetricsRegistry& metrics);
 
 /// Binds the calling thread's kernel telemetry to `metrics` (idempotently
-/// registering the "kernels.gemm_ns" histogram there) — or detaches it when
-/// null.  Thread-local: each attack worker binds its own registry, so
-/// recording needs no synchronization beyond the histogram's own atomics.
+/// registering the "kernels.gemm_ns", "kernels.qgemm_ns" and
+/// "kernels.conv_ns" histograms there) — or detaches it when null.
+/// Thread-local: each attack worker binds its own registry, so recording
+/// needs no synchronization beyond the histogram's own atomics.
 /// Unbound threads skip the clock reads entirely.
 void bind_metrics(telemetry::MetricsRegistry* metrics);
 
@@ -126,6 +165,9 @@ namespace ref {
 void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n);
 void gemm_nt(const float* a, const float* b, float* c, int m, int k, int n);
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n);
+/// Per-sample im2col + gemm_nn: the lowering conv_fwd must reproduce.
+void conv_fwd(const float* x, const float* weight, const float* bias,
+              float* y, const ConvShape& s);
 }  // namespace ref
 
 }  // namespace rowpress::nn::kernels

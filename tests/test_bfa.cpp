@@ -214,5 +214,33 @@ TEST_F(BfaTest, MaxFlipBudgetIsHonored) {
   EXPECT_LE(r.num_flips(), 2);
 }
 
+// The stage split times every iteration's gradient pass and ranking, and
+// the replay and evaluation of every committed flip — as histograms only,
+// so no new counter reaches the trial journal.
+TEST_F(BfaTest, StageHistogramsSplitEachIteration) {
+  nn::QuantizedModel qm(model());
+  Rng rng(8);
+  BfaConfig cfg;
+  cfg.max_flips = 3;
+  ProgressiveBitFlipAttack bfa(cfg, rng);
+  telemetry::MetricsRegistry reg;
+  bfa.bind_telemetry(&reg, nullptr);
+  const AttackResult r = bfa.run_unconstrained(qm, data_->test, data_->test);
+  ASSERT_GT(r.num_flips(), 0);
+  const auto snap = reg.snapshot();
+  const std::int64_t iterations = snap.counter_or("attack.iterations");
+  const auto count = [&](const char* stage) {
+    const auto* h =
+        snap.histogram(std::string("attack.stage.") + stage + "_ns");
+    return h ? h->count : -1;
+  };
+  EXPECT_EQ(count("grad"), iterations);
+  EXPECT_EQ(count("rank"), iterations);
+  EXPECT_EQ(count("replay"), r.num_flips());
+  EXPECT_EQ(count("eval"), r.num_flips());
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_NE(name.rfind("attack.stage.", 0), 0u) << name;
+}
+
 }  // namespace
 }  // namespace rowpress::attack

@@ -196,6 +196,222 @@ INSTANTIATE_TEST_SUITE_P(Backends, GemmGolden,
                            return std::string(backend_name(info.param));
                          });
 
+// --- batch-lane conv forward ---------------------------------------------
+//
+// conv_fwd must equal the per-sample lowering it replaced — im2col, then
+// naive gemm_nn into a bias-filled (or zeroed) output — bit for bit, on
+// every backend.  The lowering below builds its columns from the im2col
+// definition itself, so it checks kernels::im2col too.
+
+/// Per-sample im2col (definition: +0.0f where a tap lands in the padding)
+/// + ref::gemm_nn, for the whole batch.
+std::vector<float> lowered_conv(const std::vector<float>& x,
+                                const std::vector<float>& w,
+                                const float* bias, const ConvShape& s) {
+  const int oh = s.out_h(), ow = s.out_w(), spatial = oh * ow;
+  const int patch = s.patch();
+  std::vector<float> y(static_cast<std::size_t>(s.batch) * s.cout * spatial);
+  std::vector<float> col(static_cast<std::size_t>(patch) * spatial);
+  std::vector<float> col_kernel(col.size());
+  for (int b = 0; b < s.batch; ++b) {
+    const float* xb = x.data() + static_cast<std::size_t>(b) * s.cin * s.h * s.w;
+    for (int ci = 0; ci < s.cin; ++ci)
+      for (int ki = 0; ki < s.kh; ++ki)
+        for (int kj = 0; kj < s.kw; ++kj)
+          for (int i = 0; i < oh; ++i)
+            for (int j = 0; j < ow; ++j) {
+              const int r = i * s.stride - s.pad_h + ki;
+              const int c = j * s.stride - s.pad_w + kj;
+              const bool inside = r >= 0 && r < s.h && c >= 0 && c < s.w;
+              col[((static_cast<std::size_t>(ci) * s.kh + ki) * s.kw + kj) *
+                      spatial +
+                  static_cast<std::size_t>(i) * ow + j] =
+                  inside ? xb[(static_cast<std::size_t>(ci) * s.h + r) * s.w + c]
+                         : 0.0f;
+            }
+    im2col(xb, s, col_kernel.data());
+    EXPECT_EQ(std::memcmp(col.data(), col_kernel.data(),
+                          col.size() * sizeof(float)),
+              0)
+        << "im2col diverges from its definition";
+    float* out = y.data() + static_cast<std::size_t>(b) * s.cout * spatial;
+    for (int co = 0; co < s.cout; ++co)
+      for (int q = 0; q < spatial; ++q)
+        out[static_cast<std::size_t>(co) * spatial + q] =
+            bias ? bias[co] : 0.0f;
+    ref::gemm_nn(w.data(), col.data(), out, s.cout, patch, spatial);
+  }
+  return y;
+}
+
+/// conv_fwd on `backend`, output pre-poisoned so unwritten elements show.
+std::vector<float> run_conv(const std::vector<float>& x,
+                            const std::vector<float>& w, const float* bias,
+                            const ConvShape& s, Backend backend) {
+  std::vector<float> y(
+      static_cast<std::size_t>(s.batch) * s.cout * s.out_h() * s.out_w(),
+      std::nanf(""));
+  const Backend saved = active_backend();
+  set_backend(backend);
+  conv_fwd(x.data(), w.data(), bias, y.data(), s);
+  set_backend(saved);
+  return y;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+        << what << " i=" << i << " got=" << got[i] << " want=" << want[i];
+}
+
+/// Conv1d ([N, cin, len]) or Conv2d ([N, cin, h, w]) geometry.
+ConvShape conv_shape(bool two_d, int batch, int k, int stride, int pad) {
+  ConvShape s;
+  s.batch = batch;
+  s.cin = 3;
+  s.cout = 5;
+  s.stride = stride;
+  s.kw = k;
+  s.pad_w = pad;
+  if (two_d) {
+    s.h = 10;
+    s.w = 11;
+    s.kh = k;
+    s.pad_h = pad;
+  } else {
+    s.h = 1;
+    s.w = 23;
+    s.kh = 1;
+    s.pad_h = 0;
+  }
+  return s;
+}
+
+class ConvGolden : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(ConvGolden, MatchesLoweringBitwiseAcrossGrid) {
+  const Backend backend = GetParam();
+  Rng rng(17);
+  for (const bool two_d : {false, true}) {
+    for (const int k : {1, 3, 5, 9}) {
+      for (const int stride : {1, 2}) {
+        for (const int pad : {0, k / 2}) {
+          for (const int batch : {1, 15, 16, 17, 33, 256}) {
+            const ConvShape s = conv_shape(two_d, batch, k, stride, pad);
+            if (s.out_h() <= 0 || s.out_w() <= 0) continue;
+            std::vector<float> x(static_cast<std::size_t>(batch) * s.cin *
+                                 s.h * s.w);
+            std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch());
+            std::vector<float> bias(static_cast<std::size_t>(s.cout));
+            for (auto& v : x) v = static_cast<float>(rng.normal());
+            for (auto& v : w) v = static_cast<float>(rng.normal());
+            for (auto& v : bias) v = static_cast<float>(rng.normal());
+            // Zero weights of both signs exercise the zero-skip; -0.0f
+            // inputs sit next to the +0.0f padded taps.
+            for (std::size_t i = 0; i < w.size(); i += 7)
+              w[i] = (i % 14 == 0) ? 0.0f : -0.0f;
+            for (std::size_t i = 3; i < x.size(); i += 11) x[i] = -0.0f;
+            for (const bool with_bias : {false, true}) {
+              const float* bp = with_bias ? bias.data() : nullptr;
+              expect_same_bits(
+                  run_conv(x, w, bp, s, backend), lowered_conv(x, w, bp, s),
+                  std::string(backend_name(backend)) + (two_d ? " 2d" : " 1d") +
+                      " k=" + std::to_string(k) + " stride=" +
+                      std::to_string(stride) + " pad=" + std::to_string(pad) +
+                      " batch=" + std::to_string(batch) +
+                      " bias=" + std::to_string(with_bias));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ConvGolden, ZeroWeightShieldsNonFiniteInput) {
+  // Every weight that reads input channel 1 is zero, and channel 1 holds
+  // NaN and Inf: the zero-skip must keep them out of every chain, as the
+  // im2col + gemm_nn lowering did.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    const ConvShape s = conv_shape(two_d, 19, 3, 1, 1);
+    Rng rng(23);
+    std::vector<float> x(static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w);
+    std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch());
+    for (auto& v : x) v = static_cast<float>(rng.normal());
+    for (auto& v : w) v = static_cast<float>(rng.normal());
+    const std::size_t plane = static_cast<std::size_t>(s.h) * s.w;
+    for (int b = 0; b < s.batch; ++b)
+      for (std::size_t i = 0; i < plane; ++i)
+        x[(static_cast<std::size_t>(b) * s.cin + 1) * plane + i] =
+            (i % 2 == 0) ? std::nanf("") : INFINITY;
+    const int taps = s.kh * s.kw;
+    for (int co = 0; co < s.cout; ++co)
+      for (int t = 0; t < taps; ++t)
+        w[static_cast<std::size_t>(co) * s.patch() + taps + t] = 0.0f;
+    const std::vector<float> got = run_conv(x, w, nullptr, s, backend);
+    expect_same_bits(got, lowered_conv(x, w, nullptr, s), "nonfinite");
+    for (const float v : got) ASSERT_TRUE(std::isfinite(v));
+  }
+}
+
+TEST_P(ConvGolden, NegativeZeroInputsKeepPaddedTapSigns) {
+  // All inputs -0.0f, positive weights, bias -0.0f: interior taps keep the
+  // chain at -0.0f, while a padded tap (FMA against +0.0f) turns it +0.0f.
+  // Both signs must appear, exactly where the lowering puts them.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    const ConvShape s = conv_shape(two_d, 9, 3, 1, 1);
+    std::vector<float> x(
+        static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w, -0.0f);
+    std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch(), 0.5f);
+    std::vector<float> bias(static_cast<std::size_t>(s.cout), -0.0f);
+    const std::vector<float> got = run_conv(x, w, bias.data(), s, backend);
+    expect_same_bits(got, lowered_conv(x, w, bias.data(), s), "signed zero");
+    int negative = 0;
+    for (const float v : got) negative += std::signbit(v) ? 1 : 0;
+    EXPECT_GT(negative, 0);
+    EXPECT_LT(negative, static_cast<int>(got.size()));
+  }
+}
+
+TEST_P(ConvGolden, BatchEqualsConcatenatedSamples) {
+  // subset_accuracy and served accuracy rely on a sample's output not
+  // depending on its batch neighbours or its lane.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    const ConvShape s = conv_shape(two_d, 17, 5, 2, 2);
+    Rng rng(29);
+    std::vector<float> x(static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w);
+    std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch());
+    std::vector<float> bias(static_cast<std::size_t>(s.cout));
+    for (auto& v : x) v = static_cast<float>(rng.normal());
+    for (auto& v : w) v = static_cast<float>(rng.normal());
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    const std::vector<float> batched = run_conv(x, w, bias.data(), s, backend);
+
+    ConvShape one = s;
+    one.batch = 1;
+    const std::size_t in_sample = x.size() / s.batch;
+    std::vector<float> concat;
+    for (int b = 0; b < s.batch; ++b) {
+      const std::vector<float> xb(x.begin() + b * in_sample,
+                                  x.begin() + (b + 1) * in_sample);
+      const std::vector<float> yb = run_conv(xb, w, bias.data(), one, backend);
+      concat.insert(concat.end(), yb.begin(), yb.end());
+    }
+    expect_same_bits(batched, concat, "batch vs per-sample");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ConvGolden,
+                         ::testing::ValuesIn(available_backends()),
+                         [](const auto& info) {
+                           return std::string(backend_name(info.param));
+                         });
+
 // --- int8 GEMM layer ----------------------------------------------------
 //
 // The int8 kernels carry an exact-integer contract (see qgemm.h): every
@@ -454,6 +670,28 @@ TEST(KernelDispatch, ScopedBindMetricsDetachesOnScopeExit) {
   EXPECT_EQ(recorded_in_scope, 1);
   gemm_nn(a.data(), b.data(), c.data(), 1, 2, 1);  // unbound: no recording
   EXPECT_EQ(hist.count(), recorded_in_scope);
+}
+
+// Conv forward time lands in its own series, never in kernels.gemm_ns.
+TEST(KernelDispatch, ConvRecordsIntoConvHistogram) {
+  telemetry::MetricsRegistry reg;
+  ConvShape s;
+  s.batch = 2;
+  s.cin = s.cout = 1;
+  s.h = s.w = 4;
+  s.kh = s.kw = 3;
+  s.pad_h = s.pad_w = 1;
+  const std::vector<float> x(32, 1.0f), w(9, 0.5f);
+  std::vector<float> y(32);
+  {
+    ScopedBindMetrics bound(&reg);
+    conv_fwd(x.data(), w.data(), nullptr, y.data(), s);
+  }
+  conv_fwd(x.data(), w.data(), nullptr, y.data(), s);  // unbound
+  const std::vector<double> bounds{1e3,   4e3, 16e3, 64e3, 256e3,
+                                   1e6, 4e6, 16e6, 64e6};
+  EXPECT_EQ(reg.histogram("kernels.conv_ns", bounds).count(), 1);
+  EXPECT_EQ(reg.histogram("kernels.gemm_ns", bounds).count(), 0);
 }
 
 TEST(KernelDispatch, BackendManagement) {
