@@ -360,13 +360,21 @@ TEST_P(ConvGolden, ZeroWeightShieldsNonFiniteInput) {
 TEST_P(ConvGolden, NegativeZeroInputsKeepPaddedTapSigns) {
   // All inputs -0.0f, positive weights, bias -0.0f: interior taps keep the
   // chain at -0.0f, while a padded tap (FMA against +0.0f) turns it +0.0f.
-  // Both signs must appear, exactly where the lowering puts them.
+  // Both signs must appear, exactly where the lowering puts them.  Even
+  // channels zero their first kernel row (1-D: first tap), so positions
+  // whose only padded taps sit there stay -0.0f — FMA'ing those +0.0f
+  // weights instead of skipping them would turn them +0.0f.
   const Backend backend = GetParam();
   for (const bool two_d : {false, true}) {
     const ConvShape s = conv_shape(two_d, 9, 3, 1, 1);
     std::vector<float> x(
         static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w, -0.0f);
     std::vector<float> w(static_cast<std::size_t>(s.cout) * s.patch(), 0.5f);
+    for (int co = 0; co < s.cout; co += 2)
+      for (int ci = 0; ci < s.cin; ++ci)
+        for (int t = 0; t < (s.kh > 1 ? s.kw : 1); ++t)
+          w[static_cast<std::size_t>(co) * s.patch() + ci * s.kh * s.kw + t] =
+              0.0f;
     std::vector<float> bias(static_cast<std::size_t>(s.cout), -0.0f);
     const std::vector<float> got = run_conv(x, w, bias.data(), s, backend);
     expect_same_bits(got, lowered_conv(x, w, bias.data(), s), "signed zero");
