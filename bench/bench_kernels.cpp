@@ -113,14 +113,16 @@ std::vector<Shape> table1_shapes() {
   };
 }
 
-/// A zoo conv layer's forward geometry, at the eval batch.
+/// A zoo conv layer's forward geometry at one batch size.
 struct ConvCase {
-  const char* name;
+  std::string name;
   k::ConvShape shape;
 };
 
 /// ResNet-20 (base width 8, 12x12 inputs) and M11 (256-sample waveforms)
-/// conv layers at the 256-sample accuracy-evaluation batch.
+/// conv layers at the 256-sample accuracy-evaluation batch, plus two of
+/// them at batch 4 and 5: either side of the size below which a last
+/// chunk of samples skips the lanes for per-sample im2col + gemm_nn.
 std::vector<ConvCase> conv_cases() {
   const auto conv2d = [](int c, int hw, int stride) {
     return k::ConvShape{.batch = 256, .cin = c, .h = hw, .w = hw, .cout = c,
@@ -132,13 +134,21 @@ std::vector<ConvCase> conv_cases() {
                         .cout = cout, .kh = 1, .kw = kw, .stride = stride,
                         .pad_h = 0, .pad_w = kw / 2};
   };
-  return {
+  std::vector<ConvCase> cases = {
       {"resnet20.stage0", conv2d(8, 12, 1)},
       {"resnet20.stage1", conv2d(16, 6, 1)},
       {"resnet20.stage2", conv2d(32, 3, 1)},
       {"m11.g0", conv1d(1, 12, 256, 9, 2)},
       {"m11.g3", conv1d(48, 48, 16, 3, 1)},
   };
+  for (const int idx : {1, 4})
+    for (const int batch : {4, 5}) {
+      ConvCase c = cases[static_cast<std::size_t>(idx)];
+      c.name += ".b" + std::to_string(batch);
+      c.shape.batch = batch;
+      cases.push_back(c);
+    }
+  return cases;
 }
 
 /// Sustained GFLOP/s of conv_fwd (dense count: 2 * outputs * patch) on one
@@ -442,7 +452,7 @@ int main(int argc, char** argv) {
                 s.name, s.m, s.k, s.n, naive, fast, fast / naive);
   }
 
-  std::printf("conv forward throughput at batch 256, naive lowering vs %s\n",
+  std::printf("conv forward throughput, naive lowering vs %s\n",
               k::backend_name(active));
   std::vector<std::pair<std::string, double>> conv_gflops;
   for (const ConvCase& c : conv_cases()) {
@@ -451,8 +461,10 @@ int main(int argc, char** argv) {
     k::set_backend(active);
     const double fast = measure_conv_gflops(c.shape, 0.4);
     conv_gflops.emplace_back(c.name, fast);
-    std::printf("  %-24s cin=%-3d cout=%-3d %7.2f -> %7.2f GFLOP/s (%.2fx)\n",
-                c.name, c.shape.cin, c.shape.cout, naive, fast, fast / naive);
+    std::printf("  %-24s cin=%-3d cout=%-3d batch=%-3d %7.2f -> %7.2f GFLOP/s "
+                "(%.2fx)\n",
+                c.name.c_str(), c.shape.cin, c.shape.cout, c.shape.batch,
+                naive, fast, fast / naive);
   }
 
   std::printf("int8 GEMM throughput, %s backend, dominant conv shape\n",

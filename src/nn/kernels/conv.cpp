@@ -3,18 +3,24 @@
 // Compiled with -ffp-contract=off like gemm.cpp: the only arithmetic here
 // is the explicitly spelled FMA chain of the kernels.h conv_fwd contract.
 //
-// Batch-lane direct convolution (portable and AVX2 backends).  The batch
-// is cut into chunks of kLanes samples; each chunk is transposed once into
-// a zero-padded [cin][h + 2*pad_h][w + 2*pad_w][lane] buffer, so one
-// aligned 8-float load fetches the same input element of every sample in
-// the chunk.  An output vector (one output channel, one position, all
-// lanes) is then the FMA chain over that channel's non-zero weights in
-// ascending patch order — the zero-skip is done once, up front, by
-// compressing each channel's weights into a tap list — started from the
-// bias or +0.0f.  Padded taps read the buffer's +0.0f border, exactly the
-// zeros im2col writes.  Lanes past the batch end compute on zeros and are
-// never stored.  Each micro-kernel call keeps up to kMaxBlock output
-// positions in registers so every broadcast weight feeds several FMAs.
+// Batch-lane direct convolution (every backend but naive).  The batch is
+// cut into chunks of kLanes samples; each chunk is transposed into a
+// zero-padded [cin][h + 2*pad_h][w + 2*pad_w][lane] buffer, so one 8-float
+// load fetches the same input element of every sample in the chunk.  An
+// output vector (one output channel, one position, all lanes) is then the
+// FMA chain over that channel's non-zero weights in ascending patch order
+// — the zero-skip is done once, up front, by compressing each channel's
+// weights into a tap list — started from the bias or +0.0f.  Padded taps
+// read the buffer's +0.0f border, exactly the zeros im2col writes.  Each
+// micro-kernel call keeps up to kMaxBlock output positions in registers so
+// every broadcast weight feeds several FMAs.
+//
+// A chunk costs the same whether it holds one sample or kLanes, so a final
+// chunk of at most kLanes / 2 samples (and so a whole batch that small)
+// runs the per-sample im2col + gemm_nn lowering instead, on the backend's
+// own GEMM: on the zoo's conv layers the lanes lose to it at batch 1 and
+// win from batch 5 (README "Performance").  Both lowerings produce the
+// same bits, so the cutoff changes speed only.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -25,10 +31,6 @@
 #include "common/check.h"
 #include "nn/kernels/gemm.h"
 #include "nn/kernels/kernels.h"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
 
 namespace rowpress::nn::kernels {
 namespace {
@@ -42,6 +44,23 @@ void interior_cols(const ConvShape& s, int ow, int kj, int& lo, int& hi) {
   hi = s.w - 1 - kj + s.pad_w < 0 ? 0 : (s.w - 1 - kj + s.pad_w) / s.stride + 1;
   if (hi > ow) hi = ow;
   if (hi < lo) hi = lo;
+}
+
+/// Samples [b0, b1) through im2col + gemm_nn into a bias-filled (or zeroed)
+/// output; col holds one sample's [patch, oh*ow] matrix.
+void lowered_conv(const float* x, const float* weight, const float* bias,
+                  float* y, const ConvShape& s, int b0, int b1,
+                  detail::GemmNnFn gemm_nn, float* col) {
+  const int patch = s.patch();
+  const int spatial = s.out_h() * s.out_w();
+  for (int b = b0; b < b1; ++b) {
+    im2col(x + static_cast<std::size_t>(b) * s.cin * s.h * s.w, s, col);
+    float* out = y + static_cast<std::size_t>(b) * s.cout * spatial;
+    for (int co = 0; co < s.cout; ++co)
+      std::fill_n(out + static_cast<std::size_t>(co) * spatial, spatial,
+                  bias ? bias[co] : 0.0f);
+    gemm_nn(weight, col, out, s.cout, patch, spatial);
+  }
 }
 
 }  // namespace
@@ -119,17 +138,9 @@ namespace ref {
 
 void conv_fwd(const float* x, const float* weight, const float* bias,
               float* y, const ConvShape& s) {
-  const int patch = s.patch();
-  const int spatial = s.out_h() * s.out_w();
-  std::vector<float> col(static_cast<std::size_t>(patch) * spatial);
-  for (int b = 0; b < s.batch; ++b) {
-    im2col(x + static_cast<std::size_t>(b) * s.cin * s.h * s.w, s, col.data());
-    float* out = y + static_cast<std::size_t>(b) * s.cout * spatial;
-    for (int co = 0; co < s.cout; ++co)
-      std::fill_n(out + static_cast<std::size_t>(co) * spatial, spatial,
-                  bias ? bias[co] : 0.0f);
-    ref::gemm_nn(weight, col.data(), out, s.cout, patch, spatial);
-  }
+  std::vector<float> col(static_cast<std::size_t>(s.patch()) * s.out_h() *
+                         s.out_w());
+  lowered_conv(x, weight, bias, y, s, 0, s.batch, ref::gemm_nn, col.data());
 }
 
 }  // namespace ref
@@ -139,6 +150,10 @@ namespace {
 
 constexpr int kLanes = 8;     ///< samples per SIMD vector
 constexpr int kMaxBlock = 8;  ///< output positions per micro-kernel call
+
+/// kLanes floats as one GNU vector: a per-lane fmaf over it compiles to a
+/// single vector FMA wherever the target has one.
+typedef float LaneVec __attribute__((vector_size(kLanes * sizeof(float))));
 
 /// One non-zero weight of an output channel and the offset (in floats) of
 /// its input element from the output position's origin in the packed chunk.
@@ -154,6 +169,7 @@ struct LaneScratch {
   std::vector<Tap> taps;      ///< every channel's taps, channel-major
   std::vector<std::int32_t> tap_begin;  ///< [cout + 1] starts into taps
   std::vector<std::int32_t> pos_off;    ///< [oh*ow] position origins
+  std::vector<float> col;               ///< im2col matrix of one sample
 };
 
 LaneScratch& lane_scratch() {
@@ -161,29 +177,53 @@ LaneScratch& lane_scratch() {
   return scratch;
 }
 
-/// Runs Block::run<P> for a runtime block size 1..kMaxBlock.
-template <typename Block>
+/// P output positions x kLanes samples of one channel into out[P][kLanes]:
+/// P accumulators held across the whole tap list, one broadcast weight and
+/// P vector loads per tap.
+template <int P>
+void lane_block(const float* xt, const std::int32_t* pos, const Tap* taps,
+                int ntaps, float init, float* out) {
+  LaneVec acc[P];
+  const float* base[P];
+  for (int q = 0; q < P; ++q) {
+    for (int l = 0; l < kLanes; ++l) acc[q][l] = init;
+    base[q] = xt + pos[q];
+  }
+  for (const Tap* t = taps; t != taps + ntaps; ++t) {
+    const float wv = t->w;
+#pragma GCC unroll 8
+    for (int q = 0; q < P; ++q) {
+      LaneVec src;
+      std::memcpy(&src, base[q] + t->off, sizeof src);
+      LaneVec r;
+      for (int l = 0; l < kLanes; ++l)
+        r[l] = __builtin_fmaf(wv, src[l], acc[q][l]);
+      acc[q] = r;
+    }
+  }
+  std::memcpy(out, acc, sizeof acc);
+}
+
+/// lane_block<P> for a runtime block size 1..kMaxBlock.
 void run_block(int p, const float* xt, const std::int32_t* pos,
                const Tap* taps, int ntaps, float init, float* out) {
   switch (p) {
-    case 1: return Block::template run<1>(xt, pos, taps, ntaps, init, out);
-    case 2: return Block::template run<2>(xt, pos, taps, ntaps, init, out);
-    case 3: return Block::template run<3>(xt, pos, taps, ntaps, init, out);
-    case 4: return Block::template run<4>(xt, pos, taps, ntaps, init, out);
-    case 5: return Block::template run<5>(xt, pos, taps, ntaps, init, out);
-    case 6: return Block::template run<6>(xt, pos, taps, ntaps, init, out);
-    case 7: return Block::template run<7>(xt, pos, taps, ntaps, init, out);
-    default: return Block::template run<8>(xt, pos, taps, ntaps, init, out);
+    case 1: return lane_block<1>(xt, pos, taps, ntaps, init, out);
+    case 2: return lane_block<2>(xt, pos, taps, ntaps, init, out);
+    case 3: return lane_block<3>(xt, pos, taps, ntaps, init, out);
+    case 4: return lane_block<4>(xt, pos, taps, ntaps, init, out);
+    case 5: return lane_block<5>(xt, pos, taps, ntaps, init, out);
+    case 6: return lane_block<6>(xt, pos, taps, ntaps, init, out);
+    case 7: return lane_block<7>(xt, pos, taps, ntaps, init, out);
+    default: return lane_block<8>(xt, pos, taps, ntaps, init, out);
   }
 }
 
-/// The backend-independent part of the batch-lane convolution: packing,
-/// tap lists, position blocking and the scatter back to [N, cout, oh, ow].
-/// Block::run<P> computes P output positions x kLanes samples of one
-/// channel into out[P][kLanes].
-template <typename Block>
+/// Samples [0, nbatch) through the batch-lane kernel: packing, tap lists,
+/// position blocking and the scatter back to [N, cout, oh, ow].
 void batch_lane_conv(const float* x, const float* weight, const float* bias,
-                     float* y, const ConvShape& s) {
+                     float* y, const ConvShape& s, int nbatch,
+                     LaneScratch& sc) {
   const int oh = s.out_h(), ow = s.out_w();
   const int spatial = oh * ow;
   const int patch = s.patch();
@@ -194,7 +234,6 @@ void batch_lane_conv(const float* x, const float* weight, const float* bias,
                          std::numeric_limits<std::int32_t>::max()),
              "conv_fwd: input plane too large for the batch-lane kernel");
 
-  LaneScratch& sc = lane_scratch();
   sc.pos_off.resize(static_cast<std::size_t>(spatial));
   for (int i = 0; i < oh; ++i)
     for (int j = 0; j < ow; ++j)
@@ -216,14 +255,18 @@ void batch_lane_conv(const float* x, const float* weight, const float* bias,
   float* xt = sc.packed.data();
   xt += (kLanes - reinterpret_cast<std::uintptr_t>(xt) / sizeof(float) %
                       kLanes) % kLanes;  // 32-byte aligned lane vectors
+  // Zeroed once per call: every chunk's copy below rewrites the interior of
+  // its lanes and never touches the padding border, so the border stays
+  // +0.0f.  Lanes past the batch end in the last chunk keep zeros or the
+  // previous chunk's samples; they are computed on and never stored.
+  std::fill_n(xt, chunk, 0.0f);
 
   const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
   const std::size_t out_sample = static_cast<std::size_t>(s.cout) * spatial;
   const int nblk = (spatial + kMaxBlock - 1) / kMaxBlock;
   alignas(32) float out[kMaxBlock * kLanes];
-  for (int b0 = 0; b0 < s.batch; b0 += kLanes) {
-    const int nb = std::min(kLanes, s.batch - b0);
-    std::fill_n(xt, chunk, 0.0f);
+  for (int b0 = 0; b0 < nbatch; b0 += kLanes) {
+    const int nb = std::min(kLanes, nbatch - b0);
     for (int l = 0; l < nb; ++l) {
       const float* xs = x + static_cast<std::size_t>(b0 + l) * in_sample;
       for (int ci = 0; ci < s.cin; ++ci)
@@ -244,9 +287,9 @@ void batch_lane_conv(const float* x, const float* weight, const float* bias,
       const int p = block_start(blk + 1) - q0;
       for (int co = 0; co < s.cout; ++co) {
         const std::int32_t t0 = sc.tap_begin[static_cast<std::size_t>(co)];
-        run_block<Block>(p, xt, sc.pos_off.data() + q0, sc.taps.data() + t0,
-                         sc.tap_begin[static_cast<std::size_t>(co) + 1] - t0,
-                         bias ? bias[co] : 0.0f, out);
+        run_block(p, xt, sc.pos_off.data() + q0, sc.taps.data() + t0,
+                  sc.tap_begin[static_cast<std::size_t>(co) + 1] - t0,
+                  bias ? bias[co] : 0.0f, out);
         float* yb = y + static_cast<std::size_t>(b0) * out_sample +
                     static_cast<std::size_t>(co) * spatial + q0;
         for (int l = 0; l < nb; ++l, yb += out_sample)
@@ -256,72 +299,20 @@ void batch_lane_conv(const float* x, const float* weight, const float* bias,
   }
 }
 
-/// Plain-C++ lanes; the kLanes loop is what the compiler vectorizes.
-struct PortableBlock {
-  template <int P>
-  static void run(const float* xt, const std::int32_t* pos, const Tap* taps,
-                  int ntaps, float init, float* out) {
-    float acc[P][kLanes];
-    for (int q = 0; q < P; ++q)
-      for (int l = 0; l < kLanes; ++l) acc[q][l] = init;
-    for (int t = 0; t < ntaps; ++t) {
-      const float wv = taps[t].w;
-      for (int q = 0; q < P; ++q) {
-        const float* src = xt + pos[q] + taps[t].off;
-        for (int l = 0; l < kLanes; ++l)
-          acc[q][l] = __builtin_fmaf(wv, src[l], acc[q][l]);
-      }
-    }
-    for (int q = 0; q < P; ++q)
-      for (int l = 0; l < kLanes; ++l) out[q * kLanes + l] = acc[q][l];
-  }
-};
-
 }  // namespace
 
-void portable_conv_fwd(const float* x, const float* weight, const float* bias,
-                       float* y, const ConvShape& s) {
-  batch_lane_conv<PortableBlock>(x, weight, bias, y, s);
-}
-
-#if defined(__AVX2__) && defined(__FMA__)
-
-namespace {
-
-/// P accumulators of 8 lanes held across the whole tap list: one broadcast
-/// weight and P aligned loads per tap.
-struct Avx2Block {
-  template <int P>
-  static void run(const float* xt, const std::int32_t* pos, const Tap* taps,
-                  int ntaps, float init, float* out) {
-    __m256 acc[P];
-    const float* base[P];
-    for (int q = 0; q < P; ++q) {
-      acc[q] = _mm256_set1_ps(init);
-      base[q] = xt + pos[q];
-    }
-    for (const Tap* t = taps; t != taps + ntaps; ++t) {
-      const __m256 wv = _mm256_set1_ps(t->w);
-      for (int q = 0; q < P; ++q)
-        acc[q] = _mm256_fmadd_ps(wv, _mm256_load_ps(base[q] + t->off), acc[q]);
-    }
-    for (int q = 0; q < P; ++q) _mm256_store_ps(out + q * kLanes, acc[q]);
+void lane_conv_fwd(const float* x, const float* weight, const float* bias,
+                   float* y, const ConvShape& s, GemmNnFn gemm_nn) {
+  const int tail = s.batch % kLanes;
+  const int lane_batch = tail > kLanes / 2 ? s.batch : s.batch - tail;
+  LaneScratch& sc = lane_scratch();
+  if (lane_batch > 0) batch_lane_conv(x, weight, bias, y, s, lane_batch, sc);
+  if (lane_batch < s.batch) {
+    sc.col.resize(static_cast<std::size_t>(s.patch()) * s.out_h() * s.out_w());
+    lowered_conv(x, weight, bias, y, s, lane_batch, s.batch, gemm_nn,
+                 sc.col.data());
   }
-};
-
-}  // namespace
-
-void avx2_conv_fwd(const float* x, const float* weight, const float* bias,
-                   float* y, const ConvShape& s) {
-  batch_lane_conv<Avx2Block>(x, weight, bias, y, s);
 }
-
-#else  // !(__AVX2__ && __FMA__)
-
-void avx2_conv_fwd(const float*, const float*, const float*, float*,
-                   const ConvShape&) {}
-
-#endif
 
 }  // namespace detail
 }  // namespace rowpress::nn::kernels

@@ -222,11 +222,11 @@ void conv_fwd(const float* x, const float* weight, const float* bias,
         ref::conv_fwd(x, weight, bias, y, s);
         break;
       case Backend::kPortable:
-        detail::portable_conv_fwd(x, weight, bias, y, s);
+        detail::lane_conv_fwd(x, weight, bias, y, s, detail::portable_gemm_nn);
         break;
       case Backend::kAvx2:
       case Backend::kVnni:
-        detail::avx2_conv_fwd(x, weight, bias, y, s);
+        detail::lane_conv_fwd(x, weight, bias, y, s, detail::avx2_gemm_nn);
         break;
     }
   });

@@ -55,10 +55,14 @@ void avx2_gemm_nt(const float* a, const float* b, float* c, int m, int k,
 void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
                   int n);
 
-void portable_conv_fwd(const float* x, const float* weight, const float* bias,
-                       float* y, const ConvShape& s);
-// Compiled only when kAvx2Compiled, like the avx2_gemm_* entry points.
-void avx2_conv_fwd(const float* x, const float* weight, const float* bias,
-                   float* y, const ConvShape& s);
+/// A backend's gemm_nn entry point.
+using GemmNnFn = void (*)(const float* a, const float* b, float* c, int m,
+                          int k, int n);
+
+/// The batch-lane conv forward shared by every non-naive backend.  A last
+/// chunk of at most half a lane vector of samples runs per-sample im2col +
+/// `gemm_nn` instead, so pass the backend's own GEMM.
+void lane_conv_fwd(const float* x, const float* weight, const float* bias,
+                   float* y, const ConvShape& s, GemmNnFn gemm_nn);
 
 }  // namespace rowpress::nn::kernels::detail

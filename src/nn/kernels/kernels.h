@@ -39,7 +39,9 @@
 //     runs that lowering literally (im2col + ref::gemm_nn per sample); the
 //     others run a batch-lane direct convolution whose SIMD lanes are the
 //     samples of the batch at one output position, so every lane executes
-//     the same chain and nothing is reduced across lanes.
+//     the same chain and nothing is reduced across lanes.  A last chunk of
+//     at most half a lane vector of samples runs the per-sample lowering
+//     on the backend's own gemm_nn, which holds the same contract.
 //
 // The blocked/SIMD paths may reorder loops, tile, pack, or keep partial
 // sums in registers, but never change any element's operation sequence.
