@@ -18,9 +18,9 @@
 // A chunk costs the same whether it holds one sample or kLanes, so a final
 // chunk of at most kLanes / 2 samples (and so a whole batch that small)
 // runs the per-sample im2col + gemm_nn lowering instead, on the backend's
-// own GEMM: on the zoo's conv layers the lanes lose to it at batch 1 and
-// win from batch 5 (README "Performance").  Both lowerings produce the
-// same bits, so the cutoff changes speed only.
+// own GEMM: on ResNet-20's and M11's conv layers the lanes lose to it
+// at batch 1 and win from batch 5 (README "Performance").  Both lowerings
+// produce the same bits, so the cutoff changes speed only.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
