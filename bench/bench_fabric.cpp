@@ -103,7 +103,7 @@ bool identical(const runtime::CampaignResult& a,
 
 void write_json(int trials, int workers, double single_s, double fabric_s,
                 bool bit_identical) {
-  const char* commit = std::getenv("RP_COMMIT");
+  const std::string commit = bench::commit_stamp();
   std::FILE* f = std::fopen("BENCH_fabric.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_fabric.json\n");
@@ -115,7 +115,7 @@ void write_json(int trials, int workers, double single_s, double fabric_s,
                "\"bit_identical\": %s, \"commit\": \"%s\"}\n",
                trials, workers, single_s, fabric_s,
                fabric_s > 0.0 ? single_s / fabric_s : 0.0,
-               bit_identical ? "true" : "false", commit ? commit : "unknown");
+               bit_identical ? "true" : "false", commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_fabric.json\n");
 }

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "attack/bfa.h"
 #include "attack/eval.h"
 #include "attack/mapping.h"
@@ -359,7 +360,7 @@ void write_json(double gemm_gflops,
                 double qgemm_gops, double qgemm_batched_gops,
                 double trial_float_naive_ms, double trial_wall_ms,
                 double trial_int8_wall_ms) {
-  const char* commit = std::getenv("RP_COMMIT");
+  const std::string commit = bench::commit_stamp();
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -381,7 +382,7 @@ void write_json(double gemm_gflops,
                "\"trial_int8_wall_ms\": %.1f, \"commit\": \"%s\"}\n",
                gemm_gflops, conv.c_str(), qgemm_gops, qgemm_batched_gops,
                trial_float_naive_ms, trial_wall_ms, trial_int8_wall_ms,
-               commit ? commit : "unknown");
+               commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_kernels.json\n");
 }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "attack/runner.h"
 #include "data/vision_synth.h"
 #include "dram/device.h"
@@ -152,7 +153,7 @@ Row run_config(const BenchConfig& cfg, const Victim& victim,
 }
 
 void write_json(const std::vector<Row>& rows, int improved) {
-  const char* commit = std::getenv("RP_COMMIT");
+  const std::string commit = bench::commit_stamp();
   std::FILE* f = std::fopen("BENCH_search.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_search.json\n");
@@ -172,7 +173,7 @@ void write_json(const std::vector<Row>& rows, int improved) {
         static_cast<long long>(r.nodes_expanded), r.greedy_s, r.bnb_s);
   }
   std::fprintf(f, "], \"improved_configs\": %d, \"commit\": \"%s\"}\n",
-               improved, commit ? commit : "unknown");
+               improved, commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_search.json\n");
 }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "attack/eval.h"
 #include "attack/runner.h"
 #include "data/vision_synth.h"
@@ -74,7 +75,7 @@ models::ModelSpec bench_spec() {
 
 void write_json(double baseline_rps, double baseline_p99_ms,
                 double served_accuracy) {
-  const char* commit = std::getenv("RP_COMMIT");
+  const std::string commit = bench::commit_stamp();
   std::FILE* f = std::fopen("BENCH_serve.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_serve.json\n");
@@ -84,7 +85,7 @@ void write_json(double baseline_rps, double baseline_p99_ms,
                "{\"baseline_rps\": %.1f, \"baseline_p99_ms\": %.3f, "
                "\"served_accuracy\": %.4f, \"commit\": \"%s\"}\n",
                baseline_rps, baseline_p99_ms, served_accuracy,
-               commit ? commit : "unknown");
+               commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_serve.json\n");
 }

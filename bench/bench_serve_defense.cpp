@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "attack/eval.h"
 #include "attack/runner.h"
 #include "data/vision_synth.h"
@@ -279,7 +280,7 @@ Overhead measure_overhead(const models::ModelSpec& spec,
 
 void write_json(double pristine, const ScenarioResult& rollback,
                 const Overhead& o) {
-  const char* commit = std::getenv("RP_COMMIT");
+  const std::string commit = bench::commit_stamp();
   std::FILE* f = std::fopen("BENCH_serve_defense.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_serve_defense.json\n");
@@ -295,7 +296,7 @@ void write_json(double pristine, const ScenarioResult& rollback,
       pristine, rollback.floor_accuracy, rollback.recovered_accuracy,
       static_cast<long long>(rollback.detect_round), rollback.detect_ms,
       static_cast<long long>(rollback.bits_restored), o.scrub_ms_per_round,
-      o.canary_ms, o.scrub_overhead_pct, commit ? commit : "unknown");
+      o.canary_ms, o.scrub_overhead_pct, commit.c_str());
   std::fclose(f);
   std::printf("wrote BENCH_serve_defense.json\n");
 }

@@ -1,6 +1,7 @@
 // Shared plumbing for the paper-reproduction bench harnesses.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -36,5 +37,33 @@ inline int num_workers() {
 
 /// Campaign journal directory for the paper-reproduction benches.
 inline std::string journal_dir() { return cache_dir() + "/campaigns"; }
+
+/// Standard output of a shell command, trailing newlines stripped; empty if
+/// it cannot run.
+inline std::string command_output(const char* cmd) {
+  std::string out;
+  if (std::FILE* p = popen(cmd, "r")) {
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && out.back() == '\n') out.pop_back();
+  return out;
+}
+
+/// Commit stamp of a BENCH_*.json file: RP_COMMIT when set, else the
+/// current checkout's `git rev-parse --short=12 HEAD`, with "-dirty" when
+/// src/ or bench/ differ from it; "unknown" outside a git checkout.
+inline std::string commit_stamp() {
+  if (const char* s = std::getenv("RP_COMMIT")) return s;
+  std::string head =
+      command_output("git rev-parse --short=12 HEAD 2>/dev/null");
+  if (head.empty()) return "unknown";
+  if (!command_output("git status --porcelain -- ':/src' ':/bench' "
+                      "2>/dev/null")
+           .empty())
+    head += "-dirty";
+  return head;
+}
 
 }  // namespace rowpress::bench

@@ -126,12 +126,6 @@ class ProgressiveBitFlipAttack {
                         const data::Dataset& attack_data,
                         const data::Dataset& eval_data);
 
-  /// Best loss-increasing candidate per layer given current gradients.
-  std::vector<std::optional<Candidate>> intra_layer_search(
-      const nn::QuantizedModel& qmodel,
-      const std::vector<FeasibleBit>* feasible,
-      const std::vector<bool>* feasible_used) const;
-
   BfaConfig config_;
   Rng* rng_;
 
@@ -141,8 +135,8 @@ class ProgressiveBitFlipAttack {
     telemetry::Counter* bits_evaluated = nullptr;
     telemetry::Counter* layer_trials = nullptr;
     telemetry::Counter* flips = nullptr;
-    /// Subset of forward_passes served by Sequential::forward_from (suffix
-    /// replay) instead of a full forward.
+    /// Subset of forward_passes served by suffix replay (StepEvaluator)
+    /// instead of a full forward.
     telemetry::Counter* suffix_forward_passes = nullptr;
     telemetry::Gauge* candidate_pool = nullptr;
     /// Per-iteration stage wall times (ns): gradient pass, intra-layer

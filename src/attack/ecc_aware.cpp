@@ -2,26 +2,20 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
-#include "attack/eval.h"
-#include "common/bitutil.h"
+#include "attack/step.h"
 #include "common/check.h"
-#include "nn/loss.h"
 
 namespace rowpress::attack {
-namespace {
-
-// batch_loss / subset_accuracy / direction_allows shared via attack/eval.h.
-
-}  // namespace
 
 EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
                                     const std::vector<FeasibleBit>& feasible,
                                     const data::Dataset& attack_data,
                                     const data::Dataset& eval_data) {
-  nn::Module& model = qmodel.model();
-  model.set_training(false);
+  // Suffix replay from the lowest child a word touches; bit-identical to
+  // full forwards (see StepEvaluator).
+  StepEvaluator ev(qmodel, /*suffix_replay=*/true, eval_data,
+                   config_.eval_samples);
 
   // Group candidates by their 64-bit ECC word inside the weight image.
   std::map<std::int64_t, std::vector<int>> by_word;
@@ -39,10 +33,7 @@ EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
   EccAttackResult result;
   result.exploitable_words = static_cast<std::int64_t>(words.size());
 
-  const std::vector<int> eval_idx =
-      strided_eval_indices(config_.eval_samples, eval_data.size());
-
-  result.accuracy_before = subset_accuracy(model, eval_data, eval_idx);
+  result.accuracy_before = ev.accuracy();
   result.accuracy_after = result.accuracy_before;
   const double target =
       eval_data.random_guess_accuracy() + config_.accuracy_margin;
@@ -53,22 +44,11 @@ EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
   if (words.empty()) return result;
 
   std::vector<bool> word_used(words.size(), false);
-  nn::CrossEntropyLoss ce;
   int barren_rounds = 0;
 
   while (result.words_attacked < config_.max_words) {
-    // Fresh attack batch + gradients.
-    std::vector<int> batch_idx;
-    batch_idx.reserve(static_cast<std::size_t>(config_.attack_batch_size));
-    for (int i = 0; i < config_.attack_batch_size; ++i)
-      batch_idx.push_back(static_cast<int>(rng_->uniform_u64(
-          static_cast<std::uint64_t>(attack_data.size()))));
-    const nn::Tensor inputs = data::gather_inputs(attack_data, batch_idx);
-    const auto labels = data::gather_labels(attack_data, batch_idx);
-    model.zero_grad();
-    const nn::Tensor logits = model.forward(inputs);
-    ce.forward(logits, labels);
-    model.backward(ce.backward());
+    ev.gradient_pass(
+        draw_attack_batch(*rng_, attack_data, config_.attack_batch_size));
 
     // Score each unused word: take its bits_per_word best direction-
     // compatible candidates by grad*delta; the group score is their sum.
@@ -83,18 +63,8 @@ EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
       std::vector<std::pair<double, nn::WeightBitRef>> scored;
       for (const int fi : words[wi].second) {
         const FeasibleBit& fb = feasible[static_cast<std::size_t>(fi)];
-        const auto& qp =
-            qmodel.qparams()[static_cast<std::size_t>(fb.ref.param_index)];
-        const std::int8_t code =
-            qp.qr.q[static_cast<std::size_t>(fb.ref.weight_index)];
-        if (!direction_allows(int8_bit(code, fb.ref.bit), fb.direction))
-          continue;
-        const double delta =
-            static_cast<double>(int8_flip_delta(code, fb.ref.bit)) *
-            qp.qr.scale;
-        const double score =
-            static_cast<double>(qp.param->grad[fb.ref.weight_index]) * delta;
-        scored.emplace_back(score, fb.ref);
+        if (const auto score = feasible_bit_score(qmodel, fb))
+          scored.emplace_back(*score, fb.ref);
       }
       if (static_cast<int>(scored.size()) < config_.bits_per_word) continue;
       std::sort(scored.begin(), scored.end(),
@@ -123,9 +93,7 @@ EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
     double best_loss = -1.0;
     const WordPlan* best = nullptr;
     for (const auto& plan : plans) {
-      for (const auto& ref : plan.refs) qmodel.apply_bit_flip(ref);
-      const double loss = batch_loss(model, inputs, labels);
-      for (const auto& ref : plan.refs) qmodel.apply_bit_flip(ref);
+      const double loss = ev.loss_with(plan.refs);
       if (loss > best_loss) {
         best_loss = loss;
         best = &plan;
@@ -143,7 +111,7 @@ EccAttackResult EccAwareAttack::run(nn::QuantizedModel& qmodel,
     word_used[static_cast<std::size_t>(best->word_index)] = true;
     ++result.words_attacked;
 
-    result.accuracy_after = subset_accuracy(model, eval_data, eval_idx);
+    result.accuracy_after = ev.accuracy(best->refs);
     result.flips.back().accuracy_after = result.accuracy_after;
     if (result.accuracy_after <= target) {
       result.objective_reached = true;

@@ -57,29 +57,16 @@ double IncrementalEvaluator::accuracy_of(const nn::Tensor& logits) const {
 }
 
 double IncrementalEvaluator::full(telemetry::Counter* forward_passes) {
-  captures_.assign(seq_.size(), nn::Tensor());
   if (forward_passes) forward_passes->add();
-  nn::Tensor cur = inputs_;
-  for (std::size_t i = 0; i < seq_.size(); ++i) {
-    captures_[i] = cur;
-    cur = seq_.child(i).forward(cur);
-  }
-  return accuracy_of(cur);
+  return accuracy_of(capture_.record(seq_, inputs_));
 }
 
 double IncrementalEvaluator::from_child(std::size_t start,
                                         telemetry::Counter* forward_passes,
                                         telemetry::Counter* suffix_passes) {
-  RP_REQUIRE(!captures_.empty(), "from_child before full()");
-  RP_REQUIRE(start < seq_.size(), "from_child start out of range");
   if (forward_passes) forward_passes->add();
   if (suffix_passes) suffix_passes->add();
-  nn::Tensor cur = captures_[start];
-  for (std::size_t i = start; i < seq_.size(); ++i) {
-    if (i > start) captures_[i] = cur;
-    cur = seq_.child(i).forward(cur);
-  }
-  return accuracy_of(cur);
+  return accuracy_of(capture_.replay(seq_, start, /*refresh=*/true));
 }
 
 int argmax_row(const nn::Tensor& logits, int row) {

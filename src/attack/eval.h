@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitutil.h"
 #include "data/dataset.h"
-#include "dram/cell_model.h"
 #include "nn/module.h"
 #include "nn/quant/qmodel.h"
 #include "telemetry/metric.h"
@@ -41,18 +39,6 @@ int argmax_row(const nn::Tensor& logits, int row);
 /// indices strided over [0, dataset_size) so class-ordered datasets stay
 /// stratified.  n_eval is clamped to dataset_size.
 std::vector<int> strided_eval_indices(int n_eval, int dataset_size);
-
-/// Signed dequantized-weight change from flipping bit `b` of code `w` —
-/// the delta_w of the BFA candidate score |dL/dw * delta_w|.
-inline float flip_delta(std::int8_t w, int b, float scale) {
-  return static_cast<float>(int8_flip_delta(w, b)) * scale;
-}
-
-/// True if the physical cell's flip direction allows flipping the current
-/// bit value (a 0->1 cell can only raise a 0 bit, and vice versa).
-inline bool direction_allows(bool current_bit, dram::FlipDirection dir) {
-  return dir == dram::FlipDirection::kZeroToOne ? !current_bit : current_bit;
-}
 
 /// Incremental top-1 accuracy over a fixed evaluation subset of `ds`.
 ///
@@ -88,9 +74,8 @@ class IncrementalEvaluator {
   nn::Tensor inputs_;
   std::vector<int> labels_;
   std::size_t count_ = 0;
-  /// captures_[i] = input fed to child i on the last evaluation that ran
-  /// child i (full() or a replay passing through it).
-  std::vector<nn::Tensor> captures_;
+  /// Each child's input on the last evaluation that ran it.
+  nn::SuffixCapture capture_;
 };
 
 /// Maps each attackable qparam to the top-level Sequential child owning it
@@ -98,7 +83,7 @@ class IncrementalEvaluator {
 /// the children a tentative flip can affect.  Empty result = model is not a
 /// flat Sequential, a param is owned elsewhere, or a param is shared by
 /// more than one child (weight tying — replaying from any single child
-/// would skip the other owners); callers fall back to full forward passes.
+/// would skip the other owners); StepEvaluator then runs full forwards.
 std::vector<int> map_qparams_to_children(nn::Module& model,
                                          const nn::QuantizedModel& qmodel);
 

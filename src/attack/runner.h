@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "attack/bfa.h"
+#include "attack/mapping.h"
 #include "data/dataset.h"
 #include "dram/address.h"
 #include "nn/serialize.h"
@@ -34,6 +35,26 @@ struct QuantizedReplica {
 QuantizedReplica make_quantized_replica(const models::ModelSpec& spec,
                                         const nn::ModelState& trained,
                                         Rng& init_rng);
+
+/// Everything an attack trial derives from its seed, in draw order:
+/// Rng(seed), a fork of it that initializes the replica (then restore and
+/// quantize), then, with a profile, the weight->DRAM placement drawn from
+/// the parent stream and the feasible bits it yields.  `rng` is left where
+/// the attack's batch draws continue it.
+struct AttackTrial {
+  Rng rng;
+  QuantizedReplica replica;
+  std::vector<FeasibleBit> feasible;  ///< empty without a profile
+};
+
+/// Sets up a trial as every attack runner does.  `prof` and `geom` are
+/// both given (profile-aware) or both null (unconstrained); `int8_eval`
+/// switches the replica onto the int8 kernel path.
+AttackTrial setup_trial(const models::ModelSpec& spec,
+                        const nn::ModelState& trained, std::uint64_t seed,
+                        bool int8_eval,
+                        const profile::BitFlipProfile* prof = nullptr,
+                        const dram::Geometry* geom = nullptr);
 
 struct AttackRunSetup {
   BfaConfig bfa;

@@ -39,10 +39,16 @@ IntegrityGuard::IntegrityGuard(serve::SharedModel& model,
     m_remaps_ = &metrics->counter("defense.online.remaps");
     m_throttles_ = &metrics->counter("defense.online.throttles");
     m_canary_accuracy_ = &metrics->gauge("defense.online.canary_accuracy");
-    m_scrub_ms_ = &metrics->histogram("defense.online.scrub_ms",
-                                      serve::latency_ms_bounds());
-    m_canary_ms_ = &metrics->histogram("defense.online.canary_ms",
-                                       serve::latency_ms_bounds());
+    // ScopedTimer records nanoseconds, so both `_ms` series (named for the
+    // unit their readers report after dividing by 1e6) bucket the serving
+    // latency ladder in ns.
+    static const std::vector<double> kNsBounds = [] {
+      std::vector<double> b = serve::latency_ms_bounds();
+      for (double& v : b) v *= 1e6;
+      return b;
+    }();
+    m_scrub_ms_ = &metrics->histogram("defense.online.scrub_ms", kNsBounds);
+    m_canary_ms_ = &metrics->histogram("defense.online.canary_ms", kNsBounds);
   }
   // Seed the canary baseline on the pristine weights, so its first
   // in-round sample can already detect.

@@ -2,35 +2,43 @@
 
 namespace rowpress::nn {
 
-Tensor Sequential::forward(const Tensor& x) {
-  if (!capture_) {
-    Tensor cur = x;
-    for (auto& m : children_) cur = m->forward(cur);
-    return cur;
-  }
-  captured_inputs_.clear();
-  captured_inputs_.reserve(children_.size());
+Tensor SuffixCapture::record(Sequential& seq, const Tensor& x) {
+  inputs_.assign(seq.size(), Tensor());
   Tensor cur = x;
-  for (auto& m : children_) {
-    captured_inputs_.push_back(cur);  // COW share: no element copy here
-    cur = m->forward(cur);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    inputs_[i] = cur;  // COW share: no element copy here
+    cur = seq.child(i).forward(cur);
   }
+  return cur;
+}
+
+Tensor SuffixCapture::replay(Sequential& seq, std::size_t start,
+                             bool refresh) {
+  RP_REQUIRE(inputs_.size() == seq.size(),
+             "suffix replay needs a prior recorded forward");
+  RP_REQUIRE(start < inputs_.size(), "suffix replay start out of range");
+  Tensor cur = inputs_[start];
+  for (std::size_t i = start; i < seq.size(); ++i) {
+    if (refresh && i > start) inputs_[i] = cur;
+    cur = seq.child(i).forward(cur);
+  }
+  return cur;
+}
+
+Tensor Sequential::forward(const Tensor& x) {
+  if (capture_) return captured_.record(*this, x);
+  Tensor cur = x;
+  for (auto& m : children_) cur = m->forward(cur);
   return cur;
 }
 
 void Sequential::set_capture_activations(bool capture) {
   capture_ = capture;
-  if (!capture_) captured_inputs_.clear();
+  if (!capture_) captured_.clear();
 }
 
 Tensor Sequential::forward_from(std::size_t start) {
-  RP_REQUIRE(captured_inputs_.size() == children_.size(),
-             "forward_from needs a prior capturing forward()");
-  RP_REQUIRE(start < children_.size(), "forward_from start out of range");
-  Tensor cur = captured_inputs_[start];
-  for (std::size_t i = start; i < children_.size(); ++i)
-    cur = children_[i]->forward(cur);
-  return cur;
+  return captured_.replay(*this, start, /*refresh=*/false);
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {

@@ -77,6 +77,30 @@ class Module {
   bool training_ = true;
 };
 
+class Sequential;
+
+/// Per-child input record of one Sequential forward: after record(), any
+/// suffix of children [start, size()) can be re-run from the recorded input
+/// of `start` instead of from the model input.  Records are copy-on-write
+/// shares, so recording copies no data.  A replay is bitwise identical to a
+/// full forward as long as children [0, start) are unchanged since their
+/// inputs were recorded.
+class SuffixCapture {
+ public:
+  /// Full forward over every child, recording each child's input.
+  Tensor record(Sequential& seq, const Tensor& x);
+  /// Re-runs children [start, size()) from the recorded input of `start`.
+  /// With `refresh`, the inputs it recomputes for the later children replace
+  /// their records: use it after a committed change to child `start`, so
+  /// later replays from any child stay exact.
+  Tensor replay(Sequential& seq, std::size_t start, bool refresh);
+  bool empty() const { return inputs_.empty(); }
+  void clear() { inputs_.clear(); }
+
+ private:
+  std::vector<Tensor> inputs_;
+};
+
 /// Runs children in order.
 class Sequential final : public Module {
  public:
@@ -103,30 +127,22 @@ class Sequential final : public Module {
   std::size_t size() const { return children_.size(); }
   Module& child(std::size_t i) { return *children_[i]; }
 
-  /// When enabled, forward() records each child's input (copy-on-write
-  /// shares, so no data is copied until someone writes).  The recorded
-  /// activations feed forward_from(); disabling clears them.
+  /// When enabled, forward() records each child's input (a SuffixCapture)
+  /// for forward_from(); disabling clears the record.
   void set_capture_activations(bool capture);
-  bool capture_activations() const { return capture_; }
   /// True once a captured full forward() has run (and its activations are
   /// still held).
-  bool has_captured_activations() const {
-    return !captured_inputs_.empty();
-  }
+  bool has_captured_activations() const { return !captured_.empty(); }
 
-  /// Re-runs only children [start, size()) using the activation captured at
-  /// `start` by the last capturing forward().  Bitwise identical to a full
-  /// forward() as long as children [0, start) are unchanged since then.
-  /// Does NOT refresh the captures (the suffix children's caches are
-  /// overwritten, as with forward()).
+  /// Re-runs only children [start, size()) from the activation captured at
+  /// `start` by the last capturing forward().  Does NOT refresh the
+  /// captures (see SuffixCapture::replay).
   Tensor forward_from(std::size_t start);
 
  private:
   std::vector<std::unique_ptr<Module>> children_;
   bool capture_ = false;
-  /// captured_inputs_[i] = input fed to children_[i] on the last capturing
-  /// forward().
-  std::vector<Tensor> captured_inputs_;
+  SuffixCapture captured_;
 };
 
 /// y = x + body(x), with an optional projection on the skip path (used for

@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "attack/eval.h"
 #include "nn/kernels/kernels.h"
 #include "runtime/thread_pool.h"
 #include "search/expand.h"
@@ -65,21 +64,16 @@ attack::AttackResult BranchAndBoundSearch::run(
 
   // One private, identical replica per pool worker; expansions never share
   // model state, which is what makes parallel rounds trivially safe.
+  const ExpandTelemetry etel{tel_.forward_passes, tel_.suffix_forward_passes,
+                             tel_.bits_evaluated};
   std::vector<NodeExpander> expanders;
   expanders.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i)
-    expanders.emplace_back(make_replica(), bfa_, feasible);
+    expanders.emplace_back(make_replica(), bfa_, feasible, eval_data, etel);
   runtime::ThreadPool pool(threads);
 
-  ExpandTelemetry etel;
-  etel.forward_passes = tel_.forward_passes;
-  etel.suffix_forward_passes = tel_.suffix_forward_passes;
-  etel.bits_evaluated = tel_.bits_evaluated;
-
-  const std::vector<int> eval_idx =
-      attack::strided_eval_indices(bfa_.eval_samples, eval_data.size());
   const double random_guess = eval_data.random_guess_accuracy();
-  const double acc0 = expanders[0].root_accuracy(eval_data, eval_idx, etel);
+  const double acc0 = expanders[0].root_accuracy();
 
   attack::AttackResult result;
   result.accuracy_before = acc0;
@@ -183,8 +177,7 @@ attack::AttackResult BranchAndBoundSearch::run(
         telemetry::Span span(trace_, "search.expand", "search");
         const SearchNode& n = *batch[i];
         child_results[i] = expanders[static_cast<std::size_t>(w)].expand(
-            n, branch, Rng::derive_stream(seed, n.key_hash), attack_data,
-            eval_data, eval_idx, etel);
+            n, branch, Rng::derive_stream(seed, n.key_hash), attack_data);
         span.note("depth", static_cast<double>(n.depth));
         span.note("accuracy", n.accuracy);
         span.note("children",

@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "attack/eval.h"
-#include "common/check.h"
 #include "common/rng.h"
-#include "nn/loss.h"
-#include "nn/module.h"
 
 namespace rowpress::search {
 namespace {
@@ -35,29 +31,20 @@ bool rank_before(const ScoredRef& a, const ScoredRef& b) {
 
 NodeExpander::NodeExpander(attack::QuantizedReplica replica,
                            const attack::BfaConfig& bfa,
-                           const std::vector<attack::FeasibleBit>* feasible)
-    : replica_(std::move(replica)), bfa_(bfa), feasible_(feasible) {
-  replica_.model->set_training(false);
-  if (bfa_.incremental_eval) {
-    child_of_ = attack::map_qparams_to_children(*replica_.model,
-                                                *replica_.qmodel);
-    if (!child_of_.empty())
-      seq_ = dynamic_cast<nn::Sequential*>(replica_.model.get());
-  }
-}
+                           const std::vector<attack::FeasibleBit>* feasible,
+                           const data::Dataset& eval_data,
+                           const ExpandTelemetry& tel)
+    : replica_(std::move(replica)),
+      attack_batch_size_(bfa.attack_batch_size),
+      feasible_(feasible),
+      bits_evaluated_(tel.bits_evaluated),
+      ev_(*replica_.qmodel, bfa.incremental_eval, eval_data, bfa.eval_samples,
+          tel.forward_passes, tel.suffix_forward_passes) {}
 
-double NodeExpander::root_accuracy(const data::Dataset& eval_data,
-                                   const std::vector<int>& eval_idx,
-                                   const ExpandTelemetry& tel) {
-  return attack::subset_accuracy(*replica_.model, eval_data, eval_idx,
-                                 tel.forward_passes);
-}
-
-std::vector<ChildEval> NodeExpander::expand(
-    const SearchNode& node, int branch, std::uint64_t batch_seed,
-    const data::Dataset& attack_data, const data::Dataset& eval_data,
-    const std::vector<int>& eval_idx, const ExpandTelemetry& tel) {
-  nn::Module& model = *replica_.model;
+std::vector<ChildEval> NodeExpander::expand(const SearchNode& node,
+                                            int branch,
+                                            std::uint64_t batch_seed,
+                                            const data::Dataset& attack_data) {
   nn::QuantizedModel& qmodel = *replica_.qmodel;
   const std::vector<nn::WeightBitRef> chain = node.chain();
   xor_chain(qmodel, chain);
@@ -65,119 +52,37 @@ std::vector<ChildEval> NodeExpander::expand(
   // The node's attack batch: derived from the chain's canonical hash, so a
   // node is expanded onto the same batch no matter which worker draws it.
   Rng rng(batch_seed);
-  std::vector<int> batch_idx;
-  batch_idx.reserve(static_cast<std::size_t>(bfa_.attack_batch_size));
-  for (int i = 0; i < bfa_.attack_batch_size; ++i)
-    batch_idx.push_back(static_cast<int>(
-        rng.uniform_u64(static_cast<std::uint64_t>(attack_data.size()))));
-  const nn::Tensor batch_inputs = data::gather_inputs(attack_data, batch_idx);
-  const std::vector<int> batch_labels =
-      data::gather_labels(attack_data, batch_idx);
-
-  // Gradient pass; with incremental eval the forward also records each
-  // Sequential child's input for the suffix replays below.
-  nn::CrossEntropyLoss ce;
-  model.zero_grad();
-  if (seq_) seq_->set_capture_activations(true);
-  if (tel.forward_passes) tel.forward_passes->add();
-  const nn::Tensor logits = model.forward(batch_inputs);
-  ce.forward(logits, batch_labels);
-  model.backward(ce.backward());
+  ev_.gradient_pass(
+      attack::draw_attack_batch(rng, attack_data, attack_batch_size_));
 
   // Candidate scoring (BFA rule), global top-`branch` across all layers.
   // Bits already in the chain are excluded — a disturbed cell cannot flip
-  // again.
+  // again — but still count as scored.
   std::unordered_set<std::int64_t> in_chain;
   for (const auto& ref : chain) in_chain.insert(pack_ref(ref));
-  const auto& qparams = qmodel.qparams();
   std::vector<ScoredRef> top;
-  std::int64_t bits_evaluated = 0;
-  auto consider = [&](const ScoredRef& cand) {
-    if (static_cast<int>(top.size()) < branch) {
-      top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
-                 cand);
-    } else if (rank_before(cand, top.back())) {
-      top.pop_back();
-      top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
-                 cand);
-    }
-  };
-  if (feasible_ == nullptr) {
-    for (std::size_t l = 0; l < qparams.size(); ++l) {
-      const auto& qp = qparams[l];
-      for (std::int64_t i = 0; i < qp.num_weights(); ++i) {
-        const float g = qp.param->grad[i];
-        if (g == 0.0f) continue;
-        const std::int8_t code = qp.qr.q[static_cast<std::size_t>(i)];
-        bits_evaluated += 8;
-        for (int b = 0; b < 8; ++b) {
-          const double score = static_cast<double>(g) *
-                               attack::flip_delta(code, b, qp.qr.scale);
-          if (score <= 0.0) continue;
-          ScoredRef cand;
-          cand.ref = {static_cast<int>(l), i, b};
-          cand.packed = pack_ref(cand.ref);
-          cand.score = score;
-          if (in_chain.count(cand.packed)) continue;
-          consider(cand);
+  const std::int64_t scored = attack::scan_candidates(
+      qmodel, feasible_, nullptr,
+      [&](const nn::WeightBitRef& ref, double score) {
+        const ScoredRef cand{ref, pack_ref(ref), score};
+        if (in_chain.count(cand.packed)) return;
+        if (static_cast<int>(top.size()) == branch) {
+          if (!rank_before(cand, top.back())) return;
+          top.pop_back();
         }
-      }
-    }
-  } else {
-    for (const attack::FeasibleBit& fb : *feasible_) {
-      ++bits_evaluated;
-      const std::int64_t packed = pack_ref(fb.ref);
-      if (in_chain.count(packed)) continue;
-      const auto& qp = qparams[static_cast<std::size_t>(fb.ref.param_index)];
-      const std::int8_t code =
-          qp.qr.q[static_cast<std::size_t>(fb.ref.weight_index)];
-      if (!attack::direction_allows(int8_bit(code, fb.ref.bit), fb.direction))
-        continue;
-      const float g = qp.param->grad[fb.ref.weight_index];
-      const double score = static_cast<double>(g) *
-                           attack::flip_delta(code, fb.ref.bit, qp.qr.scale);
-      if (score <= 0.0) continue;
-      ScoredRef cand;
-      cand.ref = fb.ref;
-      cand.packed = packed;
-      cand.score = score;
-      consider(cand);
-    }
-  }
-  if (tel.bits_evaluated) tel.bits_evaluated->add(bits_evaluated);
+        top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
+                   cand);
+      });
+  if (bits_evaluated_) bits_evaluated_->add(scored);
 
-  // Measure each survivor: realized attack-batch loss (suffix replay when
-  // available — bit-identical to a full forward, see BfaConfig), then eval
-  // accuracy with captures off (accuracy always runs full forwards).
+  // Measure each survivor: realized attack-batch loss, then eval accuracy
+  // by full forwards.
   std::vector<ChildEval> children;
   children.reserve(top.size());
-  for (const ScoredRef& cand : top) {
-    qmodel.apply_bit_flip(cand.ref);
-    ChildEval child;
-    child.ref = cand.ref;
-    child.predicted_score = cand.score;
-    if (seq_) {
-      if (tel.forward_passes) tel.forward_passes->add();
-      if (tel.suffix_forward_passes) tel.suffix_forward_passes->add();
-      child.loss = ce.forward(
-          seq_->forward_from(static_cast<std::size_t>(
-              child_of_[static_cast<std::size_t>(cand.ref.param_index)])),
-          batch_labels);
-    } else {
-      child.loss =
-          attack::batch_loss(model, batch_inputs, batch_labels,
-                             tel.forward_passes);
-    }
-    qmodel.apply_bit_flip(cand.ref);  // restore (XOR is self-inverse)
-    children.push_back(child);
-  }
-  if (seq_) seq_->set_capture_activations(false);
-  for (ChildEval& child : children) {
-    qmodel.apply_bit_flip(child.ref);
-    child.accuracy = attack::subset_accuracy(model, eval_data, eval_idx,
-                                             tel.forward_passes);
-    qmodel.apply_bit_flip(child.ref);
-  }
+  for (const ScoredRef& cand : top)
+    children.push_back({cand.ref, cand.score, ev_.loss_with({&cand.ref, 1})});
+  for (ChildEval& child : children)
+    child.accuracy = ev_.full_accuracy_with({&child.ref, 1});
 
   xor_chain(qmodel, chain);  // leave the replica pristine
   return children;

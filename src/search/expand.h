@@ -11,9 +11,9 @@
 //      worker expands it or when;
 //   3. gradient pass, then score every allowed candidate bit by the BFA
 //      rule |dL/dw * delta_w| and keep the global top-`branch`;
-//   4. measure each survivor's realized loss by incremental suffix replay
-//      (full forward fallback exactly as the greedy BFA) and its eval-
-//      subset accuracy (always full forwards);
+//   4. measure each survivor's realized loss (attack::StepEvaluator: suffix
+//      replay, or full forwards as the greedy BFA falls back to) and its
+//      eval-subset accuracy (always full chunked forwards);
 //   5. un-apply the chain (XOR is self-inverse).
 //
 // Children are returned in deterministic rank order.
@@ -25,6 +25,7 @@
 #include "attack/bfa.h"
 #include "attack/mapping.h"
 #include "attack/runner.h"
+#include "attack/step.h"
 #include "data/dataset.h"
 #include "search/node.h"
 #include "telemetry/metric.h"
@@ -50,33 +51,30 @@ struct ExpandTelemetry {
 class NodeExpander {
  public:
   /// `feasible` restricts candidates to the profile-aware set (may be null
-  /// for the unconstrained attack); not owned, must outlive the expander.
+  /// for the unconstrained attack); not owned, must outlive the expander,
+  /// as must `eval_data` and the counters in `tel`.
   NodeExpander(attack::QuantizedReplica replica, const attack::BfaConfig& bfa,
-               const std::vector<attack::FeasibleBit>* feasible);
+               const std::vector<attack::FeasibleBit>* feasible,
+               const data::Dataset& eval_data, const ExpandTelemetry& tel);
 
   NodeExpander(NodeExpander&&) = default;
 
   /// Eval-subset accuracy of the pristine replica (the root evaluation).
-  double root_accuracy(const data::Dataset& eval_data,
-                       const std::vector<int>& eval_idx,
-                       const ExpandTelemetry& tel);
+  double root_accuracy() { return ev_.full_accuracy_with(); }
 
   /// Evaluates up to `branch` children of `node` (see file comment).
   std::vector<ChildEval> expand(const SearchNode& node, int branch,
                                 std::uint64_t batch_seed,
-                                const data::Dataset& attack_data,
-                                const data::Dataset& eval_data,
-                                const std::vector<int>& eval_idx,
-                                const ExpandTelemetry& tel);
+                                const data::Dataset& attack_data);
 
   nn::QuantizedModel& qmodel() { return *replica_.qmodel; }
 
  private:
   attack::QuantizedReplica replica_;
-  attack::BfaConfig bfa_;
+  int attack_batch_size_;
   const std::vector<attack::FeasibleBit>* feasible_;
-  nn::Sequential* seq_ = nullptr;  ///< non-null => suffix replay available
-  std::vector<int> child_of_;      ///< qparam -> Sequential child
+  telemetry::Counter* bits_evaluated_;
+  attack::StepEvaluator ev_;
 };
 
 }  // namespace rowpress::search

@@ -2,28 +2,20 @@
 
 #include <utility>
 
-#include "attack/mapping.h"
-#include "common/check.h"
 #include "nn/kernels/kernels.h"
-#include "nn/quant/qmodel.h"
 #include "search/objective.h"
 
 namespace rowpress::search {
 namespace {
 
 /// Replica factory reproducing exactly the replica the greedy runner
-/// builds: a fresh Rng(seed), fork for init, quantize.  Every call yields
-/// bit-identical weights and codes.
+/// builds (attack::setup_trial); every call yields bit-identical weights
+/// and codes.
 BranchAndBoundSearch::ReplicaFactory replica_factory(
     const models::ModelSpec& spec, const nn::ModelState& trained,
     std::uint64_t seed, bool int8_eval) {
   return [&spec, &trained, seed, int8_eval] {
-    Rng rng(seed);
-    Rng init_rng = rng.fork();
-    attack::QuantizedReplica r =
-        attack::make_quantized_replica(spec, trained, init_rng);
-    if (int8_eval) r.qmodel->set_int8_execution(true);
-    return r;
+    return attack::setup_trial(spec, trained, seed, int8_eval).replica;
   };
 }
 
@@ -68,20 +60,12 @@ attack::AttackResult run_profile_attack(const models::ModelSpec& spec,
     greedy = attack::run_profile_attack(spec, trained, data, prof, geom,
                                         setup.base);
 
-  // Re-derive the placement the greedy runner saw: same Rng(seed), same
-  // fork for quantization, same mapping draw — the search attacks the same
-  // physical weight->cell layout.
-  RP_REQUIRE(prof.max_linear_bit() < geom.total_bits(),
-             "profile '" + prof.mechanism_name() +
-                 "' addresses cells beyond the device geometry — it was "
-                 "built for a different chip");
-  Rng rng(setup.base.seed);
-  Rng init_rng = rng.fork();
-  attack::QuantizedReplica replica =
-      attack::make_quantized_replica(spec, trained, init_rng);
-  attack::WeightDramMapping mapping(geom, replica.qmodel->total_weight_bytes(),
-                                    rng);
-  const auto feasible = mapping.feasible_bits(*replica.qmodel, prof);
+  // Re-derive the placement the greedy runner saw: the search attacks the
+  // same physical weight->cell layout.
+  const auto feasible =
+      attack::setup_trial(spec, trained, setup.base.seed, /*int8_eval=*/false,
+                          &prof, &geom)
+          .feasible;
 
   return run_bnb(spec, trained, data, &feasible, setup,
                  setup.config.seed_with_greedy ? &greedy : nullptr, stats);

@@ -287,6 +287,27 @@ TEST_F(DefenseOnlineTest, GuardDetectsAndRollsBackAtDeterministicRound) {
             sm.read_image_range(0, sm.total_weight_bytes()));
 }
 
+// The guard's stage timers record nanoseconds; a canary run and a scrub
+// round (milliseconds or less) must land in a finite bucket, not overflow.
+TEST_F(DefenseOnlineTest, GuardTimersLandInFiniteBuckets) {
+  serve::SharedModel sm(*spec_, *trained_);
+  GuardConfig cfg;
+  cfg.canary_every = 1;
+  telemetry::MetricsRegistry reg;
+  IntegrityGuard guard(sm, make_policy("alarm"), data_->train, cfg, nullptr,
+                       nullptr, nullptr, &reg);
+  guard.run_round();
+  const telemetry::Snapshot snap = reg.snapshot();
+  for (const char* name :
+       {"defense.online.canary_ms", "defense.online.scrub_ms"}) {
+    const auto* h = snap.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, 1) << name;
+    EXPECT_EQ(h->bucket_counts.back(), 0) << name << " overflowed";
+    EXPECT_GT(h->sum, 0.0) << name;
+  }
+}
+
 TEST_F(DefenseOnlineTest, RecoverNowRestoresBitExactPristineAccuracy) {
   serve::SharedModel sm(*spec_, *trained_);
   GuardConfig cfg;

@@ -2,13 +2,16 @@
 // retained naive reference (ref::) — the committed attack artifacts depend
 // on the exact FP operation sequence, so these are equality tests, not
 // tolerance tests.  Also covers the incremental-evaluation machinery the
-// kernels enable: Sequential::forward_from suffix replay and the
-// copy-on-write aliasing rules behind zero-copy reshapes.
+// kernels enable: suffix replay (nn::SuffixCapture, Sequential::forward_from
+// and the attack-step evaluator built on them) and the copy-on-write
+// aliasing rules behind zero-copy reshapes.
 #include "nn/kernels/kernels.h"
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -16,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/step.h"
 #include "common/crc32.h"
 #include "models/zoo.h"
 #include "nn/linear.h"
 #include "nn/module.h"
+#include "nn/quant/qmodel.h"
 #include "nn/tensor.h"
 #include "telemetry/registry.h"
 
@@ -718,9 +723,9 @@ TEST(KernelDispatch, BackendManagement) {
   EXPECT_THROW(set_backend(static_cast<Backend>(99)), std::logic_error);
 }
 
-// forward_from must reproduce a full forward bitwise on every model family
-// in the zoo, including after a weight change in the replayed suffix —
-// exactly the situation the incremental BFA search depends on.
+// Suffix replay must reproduce a full forward bitwise on every model family
+// in the zoo, including after weight changes in the replayed suffix —
+// exactly the situation the incremental attack searches depend on.
 class SuffixReplay : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SuffixReplay, MatchesFullForwardBitwise) {
@@ -769,6 +774,97 @@ TEST_P(SuffixReplay, MatchesFullForwardBitwise) {
     ASSERT_EQ(y_suffix[i], y_again[i]) << spec.name;
 }
 
+// The attack-step evaluator against full forwards (batch_loss,
+// subset_accuracy), bit for bit, for every attackable param: a tentative
+// single flip, a tentative 3-bit word spanning two children, and a chain of
+// committed flips in descending, then ascending, child order.
+TEST_P(SuffixReplay, StepEvaluatorMatchesFullForwardsBitwise) {
+  const auto zoo = models::model_zoo();
+  const models::ModelSpec& spec = models::find_model(zoo, GetParam());
+  Rng rng(5);
+  auto model = spec.factory(rng);
+  auto* seq = dynamic_cast<Sequential*>(model.get());
+  ASSERT_NE(seq, nullptr) << spec.name << " is not a flat Sequential";
+  QuantizedModel qm(*model);
+  const auto child_of = attack::map_qparams_to_children(*model, qm);
+  const std::size_t n = qm.num_qparams();
+  ASSERT_EQ(child_of.size(), n) << spec.name;
+
+  const auto ds = models::make_dataset(spec.dataset);
+  const Tensor inputs = data::gather_inputs(ds.test, {0, 1, 2});
+  const std::vector<int> labels = data::gather_labels(ds.test, {0, 1, 2});
+  constexpr int kEval = 12;
+  const auto eval_idx = attack::strided_eval_indices(kEval, ds.test.size());
+
+  telemetry::MetricsRegistry reg;
+  telemetry::Counter& fwd = reg.counter("attack.forward_passes");
+  telemetry::Counter& suffix = reg.counter("attack.suffix_forward_passes");
+  attack::StepEvaluator ev(qm, /*suffix_replay=*/true, ds.test, kEval, &fwd,
+                           &suffix);
+  ev.gradient_pass({inputs, labels});
+
+  auto full_loss = [&](std::span<const WeightBitRef> refs) {
+    for (const auto& r : refs) qm.apply_bit_flip(r);
+    const double loss = attack::batch_loss(*model, inputs, labels);
+    for (const auto& r : refs) qm.apply_bit_flip(r);
+    return loss;
+  };
+  for (std::size_t l = 0; l < n; ++l) {
+    const int p = static_cast<int>(l);
+    const WeightBitRef one{p, 0, 6};
+    EXPECT_EQ(ev.loss_with({&one, 1}), full_loss({&one, 1}))
+        << spec.name << " param " << l;
+    std::size_t other = (l + 1) % n;
+    while (child_of[other] == child_of[l] && other != l)
+      other = (other + 1) % n;
+    ASSERT_NE(other, l) << spec.name << " has one child with params";
+    const std::vector<WeightBitRef> word{
+        {p, 0, 6}, {p, 0, 2}, {static_cast<int>(other), 0, 6}};
+    EXPECT_EQ(ev.loss_with(word), full_loss(word))
+        << spec.name << " word from param " << l;
+  }
+
+  // The evaluator's eval record and a SuffixCapture over the attack batch
+  // both refresh after each commit, so every later replay, from any child,
+  // must still match a full forward.
+  SuffixCapture cap;
+  (void)cap.record(*seq, inputs);
+  auto full_accuracy = [&] {
+    return attack::subset_accuracy(*model, ds.test, eval_idx);
+  };
+  EXPECT_EQ(ev.accuracy(), full_accuracy()) << spec.name;
+  auto commit = [&](const WeightBitRef& ref) {
+    qm.apply_bit_flip(ref);
+    EXPECT_EQ(ev.accuracy({&ref, 1}), full_accuracy())
+        << spec.name << " param " << ref.param_index;
+    const Tensor replayed = cap.replay(
+        *seq,
+        static_cast<std::size_t>(
+            child_of[static_cast<std::size_t>(ref.param_index)]),
+        /*refresh=*/true);
+    const Tensor full = seq->forward(inputs);
+    ASSERT_EQ(replayed.numel(), full.numel());
+    for (std::int64_t i = 0; i < full.numel(); ++i)
+      ASSERT_EQ(replayed[i], full[i])
+          << spec.name << " param " << ref.param_index;
+  };
+  std::vector<int> by_child(n);
+  std::iota(by_child.begin(), by_child.end(), 0);
+  std::stable_sort(by_child.begin(), by_child.end(), [&](int a, int b) {
+    return child_of[static_cast<std::size_t>(a)] >
+           child_of[static_cast<std::size_t>(b)];
+  });
+  for (const int p : by_child) commit({p, 1, 7});
+  for (auto it = by_child.rbegin(); it != by_child.rend(); ++it)
+    commit({*it, 2, 5});
+
+  // One gradient pass, then one replay per tentative change and per commit,
+  // plus the first accuracy's recording pass.
+  const auto replays = static_cast<std::int64_t>(4 * n);
+  EXPECT_EQ(fwd.value(), 2 + replays) << spec.name;
+  EXPECT_EQ(suffix.value(), replays) << spec.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(ZooFamilies, SuffixReplay,
                          ::testing::Values("ResNet-20", "DeiT-T", "VMamba-T",
                                            "M11"),
@@ -778,6 +874,66 @@ INSTANTIATE_TEST_SUITE_P(ZooFamilies, SuffixReplay,
                              if (ch == '-') ch = '_';
                            return s;
                          });
+
+// A model map_qparams_to_children rejects (here: not a Sequential) takes
+// the full-forward path and counts passes as the greedy BFA always has:
+// one per gradient pass or tentative loss, one per 128-sample accuracy
+// chunk, no suffix passes.
+class Wrapped final : public Module {
+ public:
+  explicit Wrapped(std::unique_ptr<Module> inner) : inner_(std::move(inner)) {}
+  Tensor forward(const Tensor& x) override { return inner_->forward(x); }
+  Tensor backward(const Tensor& g) override { return inner_->backward(g); }
+  std::vector<Param*> parameters() override { return inner_->parameters(); }
+  std::vector<Tensor*> buffers() override { return inner_->buffers(); }
+  void set_training(bool training) override {
+    Module::set_training(training);
+    inner_->set_training(training);
+  }
+  std::string name() const override { return "Wrapped"; }
+
+ private:
+  std::unique_ptr<Module> inner_;
+};
+
+TEST(StepEvaluatorFallback, UnmappedModelRunsCountedFullForwards) {
+  const auto zoo = models::model_zoo();
+  const models::ModelSpec& spec = models::find_model(zoo, "ResNet-20");
+  Rng rng(5);
+  Wrapped model(spec.factory(rng));
+  QuantizedModel qm(model);
+  ASSERT_TRUE(attack::map_qparams_to_children(model, qm).empty());
+
+  const auto ds = models::make_dataset(spec.dataset);
+  const Tensor inputs = data::gather_inputs(ds.test, {0, 1, 2});
+  const std::vector<int> labels = data::gather_labels(ds.test, {0, 1, 2});
+  constexpr int kEval = 130;  // two subset_accuracy chunks
+  const auto eval_idx = attack::strided_eval_indices(kEval, ds.test.size());
+
+  telemetry::MetricsRegistry reg;
+  telemetry::Counter& fwd = reg.counter("attack.forward_passes");
+  telemetry::Counter& suffix = reg.counter("attack.suffix_forward_passes");
+  attack::StepEvaluator ev(qm, /*suffix_replay=*/true, ds.test, kEval, &fwd,
+                           &suffix);
+  ev.gradient_pass({inputs, labels});
+  EXPECT_EQ(fwd.value(), 1);
+
+  const std::vector<WeightBitRef> word{{0, 0, 6}, {1, 0, 6}, {1, 3, 2}};
+  const double loss = ev.loss_with(word);
+  for (const auto& r : word) qm.apply_bit_flip(r);
+  EXPECT_EQ(loss, attack::batch_loss(model, inputs, labels));
+  for (const auto& r : word) qm.apply_bit_flip(r);
+  EXPECT_EQ(fwd.value(), 2);
+
+  EXPECT_EQ(ev.accuracy(), attack::subset_accuracy(model, ds.test, eval_idx));
+  EXPECT_EQ(fwd.value(), 4);
+  const WeightBitRef ref{1, 0, 7};
+  qm.apply_bit_flip(ref);
+  EXPECT_EQ(ev.accuracy({&ref, 1}),
+            attack::subset_accuracy(model, ds.test, eval_idx));
+  EXPECT_EQ(fwd.value(), 6);
+  EXPECT_EQ(suffix.value(), 0);
+}
 
 // Zero-copy reshapes share storage; a later write to the source must not
 // leak into a layer's cached activation (regression for the COW tensor).
