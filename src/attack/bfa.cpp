@@ -96,21 +96,21 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
     grad_timer.stop();
 
     // Intra-layer search: each layer's best loss-increasing candidate
-    // (first maximum in scan order wins).
+    // (first maximum in scan order wins; score 0 = none).
     telemetry::ScopedTimer rank_timer(tel_.stage_rank);
-    std::vector<std::optional<Candidate>> candidates(qmodel.num_qparams());
+    std::vector<Candidate> candidates(qmodel.num_qparams());
     const std::int64_t scored = scan_candidates(
         qmodel, feasible, &used,
         [&](const nn::WeightBitRef& ref, double score) {
-          auto& slot = candidates[static_cast<std::size_t>(ref.param_index)];
-          if (!slot || score > slot->score) slot = Candidate{ref, score};
+          auto& best = candidates[static_cast<std::size_t>(ref.param_index)];
+          if (score > best.score) best = Candidate{ref, score};
         });
     if (tel_.bits_evaluated) tel_.bits_evaluated->add(scored);
 
     // Rank layers by predicted score, keep the strongest few.
     std::vector<int> order;
     for (std::size_t l = 0; l < candidates.size(); ++l)
-      if (candidates[l]) order.push_back(static_cast<int>(l));
+      if (candidates[l].score > 0.0) order.push_back(static_cast<int>(l));
     if (order.empty()) {
       // No loss-increasing candidate on this batch; a few redraws may
       // still find one before we declare the pool exhausted.
@@ -119,8 +119,8 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
     }
     barren_rounds = 0;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return candidates[static_cast<std::size_t>(a)]->score >
-             candidates[static_cast<std::size_t>(b)]->score;
+      return candidates[static_cast<std::size_t>(a)].score >
+             candidates[static_cast<std::size_t>(b)].score;
     });
     if (static_cast<int>(order.size()) > config_.max_layer_trials)
       order.resize(static_cast<std::size_t>(config_.max_layer_trials));
@@ -134,7 +134,7 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
     int best_layer = -1;
     for (const int l : order) {
       const double loss =
-          ev.loss_with({&candidates[static_cast<std::size_t>(l)]->ref, 1});
+          ev.loss_with({&candidates[static_cast<std::size_t>(l)].ref, 1});
       if (loss > best_loss) {
         best_loss = loss;
         best_layer = l;
@@ -144,7 +144,7 @@ AttackResult ProgressiveBitFlipAttack::run_impl(
     RP_ASSERT(best_layer >= 0, "inter-layer search found no layer");
 
     // Commit the elected flip; physically the cell can flip only once.
-    const auto& cand = *candidates[static_cast<std::size_t>(best_layer)];
+    const auto& cand = candidates[static_cast<std::size_t>(best_layer)];
     FlipRecord rec;
     rec.ref = cand.ref;
     rec.weight_delta = qmodel.apply_bit_flip(cand.ref);

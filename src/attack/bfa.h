@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "attack/mapping.h"

@@ -69,6 +69,7 @@ double StepEvaluator::loss_with(std::span<const nn::WeightBitRef> refs) {
 }
 
 double StepEvaluator::accuracy(std::span<const nn::WeightBitRef> committed) {
+  batch_record_.clear();
   if (seq_ == nullptr)
     return subset_accuracy(model_, eval_data_, eval_idx_, forward_passes_);
   if (!eval_record_) eval_record_.emplace(*seq_, eval_data_, eval_idx_);
@@ -79,6 +80,7 @@ double StepEvaluator::accuracy(std::span<const nn::WeightBitRef> committed) {
 
 double StepEvaluator::full_accuracy_with(
     std::span<const nn::WeightBitRef> refs) {
+  batch_record_.clear();
   for (const auto& ref : refs) qmodel_.apply_bit_flip(ref);
   const double acc =
       subset_accuracy(model_, eval_data_, eval_idx_, forward_passes_);

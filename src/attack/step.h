@@ -69,12 +69,13 @@ inline std::optional<double> feasible_bit_score(
                    qp.qr.scale);
 }
 
-/// Calls visit(ref, score) for every loss-increasing candidate (score > 0)
-/// in a fixed order, and returns the number of bits scored.  Without a
-/// profile (`feasible` null) the candidates are all 8 bits of every
-/// attackable weight with a non-zero gradient; with one, the feasible bits
-/// whose cell direction allows the flip, minus the entries `spent` marks
-/// (which are not scored).
+/// Calls visit(ref, score) for every candidate bit in a fixed order, and
+/// returns the number of bits scored.  Without a profile (`feasible` null)
+/// the candidates are all 8 bits of every attackable weight with a
+/// non-zero gradient; with one, the feasible bits whose cell direction
+/// allows the flip, minus the entries `spent` marks (which are not scored).
+/// Scores of any sign are visited: the visitor's own comparison is the
+/// only branch per bit, which keeps the scan as fast as a hand-fused loop.
 template <typename Visit>
 std::int64_t scan_candidates(const nn::QuantizedModel& qmodel,
                              const std::vector<FeasibleBit>* feasible,
@@ -89,11 +90,9 @@ std::int64_t scan_candidates(const nn::QuantizedModel& qmodel,
         if (g == 0.0f) continue;
         const std::int8_t code = qp.qr.q[static_cast<std::size_t>(i)];
         scored += 8;
-        for (int b = 0; b < 8; ++b) {
-          const double score = bit_score(g, code, b, qp.qr.scale);
-          if (score > 0.0) visit(nn::WeightBitRef{static_cast<int>(l), i, b},
-                                 score);
-        }
+        for (int b = 0; b < 8; ++b)
+          visit(nn::WeightBitRef{static_cast<int>(l), i, b},
+                bit_score(g, code, b, qp.qr.scale));
       }
     }
     return scored;
@@ -102,8 +101,7 @@ std::int64_t scan_candidates(const nn::QuantizedModel& qmodel,
     if (spent && (*spent)[fi]) continue;
     ++scored;
     const FeasibleBit& fb = (*feasible)[fi];
-    const std::optional<double> score = feasible_bit_score(qmodel, fb);
-    if (score && *score > 0.0) visit(fb.ref, *score);
+    if (const auto score = feasible_bit_score(qmodel, fb)) visit(fb.ref, *score);
   }
   return scored;
 }
@@ -132,8 +130,9 @@ class StepEvaluator {
                 telemetry::Counter* suffix_passes = nullptr);
 
   /// dL/dW on `batch` (eval-mode backward), which becomes the batch that
-  /// loss_with() measures until the next gradient pass.  Commit changes
-  /// only after the last loss_with() of a step: its record predates them.
+  /// loss_with() measures until the next accuracy check: that check ends
+  /// the step's loss phase and frees the batch record (as it predates any
+  /// change committed since).
   void gradient_pass(AttackBatch batch);
 
   /// Attack-batch loss with `refs` flipped; the flips are undone before it

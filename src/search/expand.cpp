@@ -55,21 +55,22 @@ std::vector<ChildEval> NodeExpander::expand(const SearchNode& node,
   ev_.gradient_pass(
       attack::draw_attack_batch(rng, attack_data, attack_batch_size_));
 
-  // Candidate scoring (BFA rule), global top-`branch` across all layers.
-  // Bits already in the chain are excluded — a disturbed cell cannot flip
-  // again — but still count as scored.
+  // Candidate scoring (BFA rule), global top-`branch` of the loss-
+  // increasing bits across all layers.  Bits already in the chain are
+  // excluded — a disturbed cell cannot flip again — but still count as
+  // scored; the chain is consulted only for a bit that would enter the top.
   std::unordered_set<std::int64_t> in_chain;
   for (const auto& ref : chain) in_chain.insert(pack_ref(ref));
   std::vector<ScoredRef> top;
   const std::int64_t scored = attack::scan_candidates(
       qmodel, feasible_, nullptr,
       [&](const nn::WeightBitRef& ref, double score) {
+        if (score <= 0.0) return;
         const ScoredRef cand{ref, pack_ref(ref), score};
+        const bool full = static_cast<int>(top.size()) == branch;
+        if (full && !rank_before(cand, top.back())) return;
         if (in_chain.count(cand.packed)) return;
-        if (static_cast<int>(top.size()) == branch) {
-          if (!rank_before(cand, top.back())) return;
-          top.pop_back();
-        }
+        if (full) top.pop_back();
         top.insert(std::upper_bound(top.begin(), top.end(), cand, rank_before),
                    cand);
       });
