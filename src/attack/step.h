@@ -74,8 +74,9 @@ inline std::optional<double> feasible_bit_score(
 /// the candidates are all 8 bits of every attackable weight with a
 /// non-zero gradient; with one, the feasible bits whose cell direction
 /// allows the flip, minus the entries `spent` marks (which are not scored).
-/// Scores of any sign are visited: the visitor's own comparison is the
-/// only branch per bit, which keeps the scan as fast as a hand-fused loop.
+/// Scores of any sign are visited, so the visitor's own comparison is the
+/// only branch per bit: a second, data-dependent `score > 0` branch here
+/// made the greedy scan several times slower.
 template <typename Visit>
 std::int64_t scan_candidates(const nn::QuantizedModel& qmodel,
                              const std::vector<FeasibleBit>* feasible,
