@@ -26,18 +26,6 @@ profile::BitFlipProfile subsample(const profile::BitFlipProfile& prof,
   return out;
 }
 
-profile::BitFlipProfile drop_directions(const profile::BitFlipProfile& prof,
-                                        Rng& rng) {
-  // Idealized profile: same cells, but pretend each can flip either way by
-  // assigning the direction that matches whatever the weight bit holds.
-  // We model "no constraint" by duplicating each cell with both
-  // directions; the search then always finds a compatible entry.
-  profile::BitFlipProfile out(prof.mechanism_name() + "-anydir");
-  (void)rng;
-  for (const auto& vb : prof.sorted_bits()) out.add(vb.linear_bit, vb.direction);
-  return out;
-}
-
 }  // namespace
 
 int main() {

@@ -1,6 +1,5 @@
 #include "nn/conv1d.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/kernels/kernels.h"
@@ -95,41 +94,11 @@ Tensor Conv1d::forward(const Tensor& x) {
 
 Tensor Conv1d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
-  const int n = x.dim(0), len = x.dim(2);
-  const int ol = grad_out.dim(2);
-  const kernels::ConvShape cs = shape(n, len);
-  const int patch = cs.patch();
-
   Tensor grad_in(x.shape());
-  float* gip = grad_in.data();
-  const float* xp = x.cdata();
-  const float* gp = grad_out.cdata();
-  const float* wp = weight_.value.cdata();
-  float* wg = weight_.grad.data();
-  const std::size_t col_size = static_cast<std::size_t>(patch) * ol;
-  if (col_.size() < col_size) col_.resize(col_size);
-  if (gcol_.size() < col_size) gcol_.resize(col_size);
-  for (int b = 0; b < n; ++b) {
-    const float* g = gp + static_cast<std::size_t>(b) * cout_ * ol;
-    kernels::im2col(xp + static_cast<std::size_t>(b) * cin_ * len, cs,
-                    col_.data());
-    // dW[cout, patch] += g[cout, ol] * col^T
-    kernels::gemm_nt(g, col_.data(), wg, cout_, ol, patch);
-    if (has_bias_) {
-      float* bg = bias_.grad.data();
-      for (int co = 0; co < cout_; ++co) {
-        float acc = 0.0f;
-        for (int i = 0; i < ol; ++i)
-          acc += g[static_cast<std::size_t>(co) * ol + i];
-        bg[co] += acc;
-      }
-    }
-    // dcol = W^T * g
-    std::fill_n(gcol_.data(), col_size, 0.0f);
-    kernels::gemm_tn(wp, g, gcol_.data(), cout_, patch, ol);
-    kernels::col2im(gcol_.data(), cs,
-                    gip + static_cast<std::size_t>(b) * cin_ * len);
-  }
+  kernels::conv_bwd(x.cdata(), grad_out.cdata(), weight_.value.cdata(),
+                    grad_in.data(), weight_.grad.data(),
+                    has_bias_ ? bias_.grad.data() : nullptr,
+                    shape(x.dim(0), x.dim(2)));
   return grad_in;
 }
 

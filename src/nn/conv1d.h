@@ -29,9 +29,6 @@ class Conv1d final : public Module {
   Param weight_;  ///< [cout, cin, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// Backward's im2col scratch, reused across calls (grown on demand).
-  std::vector<float> col_;
-  std::vector<float> gcol_;
   // Int8-path scratch (same scheme as Conv2d: transposed patches, batch as
   // one strided kernel call).
   std::vector<float> patch_rows_;

@@ -1,6 +1,5 @@
 #include "nn/conv2d.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/kernels/kernels.h"
@@ -158,41 +157,11 @@ Tensor Conv2d::forward(const Tensor& x) {
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const kernels::ConvShape cs = shape(n, h, w);
-  const int patch = cs.patch();
-  const int spatial = grad_out.dim(2) * grad_out.dim(3);
-
   Tensor grad_in(x.shape());
-  float* gip = grad_in.data();
-  const float* xp = x.cdata();
-  const float* gp = grad_out.cdata();
-  const float* wp = weight_.value.cdata();
-  float* wg = weight_.grad.data();
-  const std::size_t col_size = static_cast<std::size_t>(patch) * spatial;
-  if (col_.size() < col_size) col_.resize(col_size);
-  if (gcol_.size() < col_size) gcol_.resize(col_size);
-  for (int b = 0; b < n; ++b) {
-    const float* g = gp + static_cast<std::size_t>(b) * cout_ * spatial;
-    // dW[cout, patch] += g[cout, spatial] * col^T (col as [patch, spatial]).
-    kernels::im2col(xp + static_cast<std::size_t>(b) * cin_ * h * w, cs,
-                    col_.data());
-    kernels::gemm_nt(g, col_.data(), wg, cout_, spatial, patch);
-    if (has_bias_) {
-      float* bg = bias_.grad.data();
-      for (int co = 0; co < cout_; ++co) {
-        float acc = 0.0f;
-        for (int s = 0; s < spatial; ++s)
-          acc += g[static_cast<std::size_t>(co) * spatial + s];
-        bg[co] += acc;
-      }
-    }
-    // dcol[patch, spatial] = W^T[patch, cout] * g[cout, spatial]
-    std::fill_n(gcol_.data(), col_size, 0.0f);
-    kernels::gemm_tn(wp, g, gcol_.data(), cout_, patch, spatial);
-    kernels::col2im(gcol_.data(), cs,
-                    gip + static_cast<std::size_t>(b) * cin_ * h * w);
-  }
+  kernels::conv_bwd(x.cdata(), grad_out.cdata(), weight_.value.cdata(),
+                    grad_in.data(), weight_.grad.data(),
+                    has_bias_ ? bias_.grad.data() : nullptr,
+                    shape(x.dim(0), x.dim(2), x.dim(3)));
   return grad_in;
 }
 

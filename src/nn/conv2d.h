@@ -30,10 +30,6 @@ class Conv2d final : public Module {
   Param weight_;  ///< [cout, cin, k, k]
   Param bias_;    ///< [cout]
   Tensor cached_input_;
-  /// Backward's im2col scratch, reused across calls (grown on demand)
-  /// instead of reallocated per sample.
-  std::vector<float> col_;
-  std::vector<float> gcol_;
   // Int8-path scratch: one transposed-im2col float staging row block plus
   // whole-batch activation codes/scales and int32 accumulators (the batch
   // runs as ONE strided kernel call).

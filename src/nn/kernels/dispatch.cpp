@@ -61,6 +61,7 @@ Backend resolve_default() {
 thread_local telemetry::Histogram* t_gemm_hist = nullptr;
 thread_local telemetry::Histogram* t_qgemm_hist = nullptr;
 thread_local telemetry::Histogram* t_conv_hist = nullptr;
+thread_local telemetry::Histogram* t_conv_bwd_hist = nullptr;
 
 // Timed dispatch: clock reads only happen on threads that bound a registry.
 template <typename F>
@@ -150,6 +151,7 @@ void bind_metrics(telemetry::MetricsRegistry* metrics) {
     t_gemm_hist = nullptr;
     t_qgemm_hist = nullptr;
     t_conv_hist = nullptr;
+    t_conv_bwd_hist = nullptr;
     return;
   }
   static const std::vector<double> kBounds{
@@ -157,6 +159,7 @@ void bind_metrics(telemetry::MetricsRegistry* metrics) {
   t_gemm_hist = &metrics->histogram("kernels.gemm_ns", kBounds);
   t_qgemm_hist = &metrics->histogram("kernels.qgemm_ns", kBounds);
   t_conv_hist = &metrics->histogram("kernels.conv_ns", kBounds);
+  t_conv_bwd_hist = &metrics->histogram("kernels.conv_bwd_ns", kBounds);
 }
 
 namespace detail {
@@ -227,6 +230,29 @@ void conv_fwd(const float* x, const float* weight, const float* bias,
       case Backend::kAvx2:
       case Backend::kVnni:
         detail::lane_conv_fwd(x, weight, bias, y, s, detail::avx2_gemm_nn);
+        break;
+    }
+  });
+}
+
+void conv_bwd(const float* x, const float* grad_out, const float* weight,
+              float* grad_in, float* grad_weight, float* grad_bias,
+              const ConvShape& s) {
+  run_timed(t_conv_bwd_hist, [&] {
+    switch (active_backend()) {
+      case Backend::kNaive:
+        ref::conv_bwd(x, grad_out, weight, grad_in, grad_weight, grad_bias, s);
+        break;
+      case Backend::kPortable:
+        detail::lane_conv_bwd(x, grad_out, weight, grad_in, grad_weight,
+                              grad_bias, s, detail::portable_gemm_nt,
+                              detail::portable_gemm_tn);
+        break;
+      case Backend::kAvx2:
+      case Backend::kVnni:
+        detail::lane_conv_bwd(x, grad_out, weight, grad_in, grad_weight,
+                              grad_bias, s, detail::avx2_gemm_nt,
+                              detail::avx2_gemm_tn);
         break;
     }
   });

@@ -1,6 +1,6 @@
 // Fast kernel layer: the three GEMM accumulate ops every layer builds on
-// (linear, attention, conv backward via im2col) plus the batch-lane conv
-// forward, runtime-dispatched over backends.
+// (linear, attention) plus the batch-lane conv forward and backward,
+// runtime-dispatched over backends.
 //
 // Bit-exactness contract
 // ----------------------
@@ -42,6 +42,19 @@
 //     the same chain and nothing is reduced across lanes.  A last chunk of
 //     at most half a lane vector of samples runs the per-sample lowering
 //     on the backend's own gemm_nn, which holds the same contract.
+//
+//   conv_bwd:  each output element is exactly the element of the per-sample
+//     backward lowering — im2col, gemm_nt into dW, gemm_tn into a zeroed
+//     dcol, col2im into a zeroed dX — so it inherits those sequences.  dX:
+//     each dcol element is gemm_tn's FMA chain over cout ascending from
+//     +0.0f, zero weights skipped; each input element is +0.0f plus its
+//     dcol taps added in col2im's (ci, ki, kj, position) order, padded taps
+//     dropped.  dW: each (co, patch) element of one sample is gemm_nt's dot
+//     product over positions, and the samples' products are added into dW
+//     one at a time in batch order.  The bias gradient adds each sample's
+//     plain sum over positions, in batch order.  The naive backend runs the
+//     lowering literally; the others run lanes of 8 samples on the forward's
+//     packing, with the same small-batch cutoff on the backend's own GEMMs.
 //
 // The blocked/SIMD paths may reorder loops, tile, pack, or keep partial
 // sums in registers, but never change any element's operation sequence.
@@ -94,15 +107,20 @@ struct ConvShape {
 void conv_fwd(const float* x, const float* weight, const float* bias,
               float* y, const ConvShape& s);
 
+/// Backward of conv_fwd over the whole batch, given grad_out [batch, cout,
+/// out_h(), out_w()]: overwrites grad_in [batch, cin, h, w] with dL/dx and
+/// adds dL/dweight into grad_weight and, when grad_bias is not null,
+/// dL/dbias into grad_bias.  Bitwise equal to the per-sample im2col +
+/// gemm_nt / gemm_tn + col2im lowering; see the contract above.
+void conv_bwd(const float* x, const float* grad_out, const float* weight,
+              float* grad_in, float* grad_weight, float* grad_bias,
+              const ConvShape& s);
+
 /// im2col of ONE sample: expands x [cin, h, w] into col [patch, oh*ow],
 /// row (ci*kh + ki)*kw + kj; taps that land in the padding are +0.0f.
 void im2col(const float* x, const ConvShape& s, float* col);
 
-/// Inverse scatter of im2col for ONE sample: x [cin, h, w] += col; taps in
-/// the padding are dropped.  Adds land in (ci, ki, kj, position) order.
-void col2im(const float* col, const ConvShape& s, float* x);
-
-/// Backend used by the gemm_* and conv_fwd entry points.  Resolved once, lazily: the
+/// Backend used by the gemm_* and conv_* entry points.  Resolved once, lazily: the
 /// ROWPRESS_KERNEL environment variable ("naive" | "portable" | "avx2" |
 /// "vnni") when set, otherwise the fastest backend this CPU supports.  An
 /// env-requested backend that is not available here falls back to the
@@ -137,8 +155,8 @@ std::string cpu_features_string();
 void record_backend_gauges(telemetry::MetricsRegistry& metrics);
 
 /// Binds the calling thread's kernel telemetry to `metrics` (idempotently
-/// registering the "kernels.gemm_ns", "kernels.qgemm_ns" and
-/// "kernels.conv_ns" histograms there) — or detaches it when null.
+/// registering the "kernels.gemm_ns", "kernels.qgemm_ns", "kernels.conv_ns"
+/// and "kernels.conv_bwd_ns" histograms there) — or detaches it when null.
 /// Thread-local: each attack worker binds its own registry, so recording
 /// needs no synchronization beyond the histogram's own atomics.
 /// Unbound threads skip the clock reads entirely.
@@ -170,6 +188,11 @@ void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n);
 /// Per-sample im2col + gemm_nn: the lowering conv_fwd must reproduce.
 void conv_fwd(const float* x, const float* weight, const float* bias,
               float* y, const ConvShape& s);
+/// Per-sample im2col + gemm_nt / gemm_tn + col2im: the lowering conv_bwd
+/// must reproduce.
+void conv_bwd(const float* x, const float* grad_out, const float* weight,
+              float* grad_in, float* grad_weight, float* grad_bias,
+              const ConvShape& s);
 }  // namespace ref
 
 }  // namespace rowpress::nn::kernels

@@ -52,7 +52,9 @@ Tensor BatchNorm::forward(const Tensor& x) {
   cached_istd_.assign(static_cast<std::size_t>(channels_), 0.0);
 
   Tensor y(x.shape());
-  cached_norm_ = Tensor(x.shape());
+  // Only the training backward reads the normalized input; the eval
+  // backward recomputes it from cached_input_.
+  cached_norm_ = training_ ? Tensor(x.shape()) : Tensor();
   const double count = static_cast<double>(f.n) * f.inner;
 
   for (int c = 0; c < channels_; ++c) {
@@ -95,7 +97,7 @@ Tensor BatchNorm::forward(const Tensor& x) {
     for (int b = 0; b < f.n; ++b) {
       const std::size_t base = cidx(f, b, c, 0);
       const float* xs = x.cdata() + base;
-      float* ns = cached_norm_.data() + base;
+      float* ns = training_ ? cached_norm_.data() + base : nullptr;
       float* ys = y.data() + base;
       int s = 0;
 #if defined(__AVX2__) && defined(__FMA__)
@@ -107,13 +109,13 @@ Tensor BatchNorm::forward(const Tensor& x) {
         const __m128 nhi = _mm256_cvtpd_ps(
             _mm256_mul_pd(_mm256_sub_pd(dhi, vmean), vistd));
         const __m256 norm = _mm256_set_m128(nhi, nlo);
-        _mm256_storeu_ps(ns + s, norm);
+        if (ns) _mm256_storeu_ps(ns + s, norm);
         _mm256_storeu_ps(ys + s, _mm256_fmadd_ps(vg, norm, vb));
       }
 #endif
       for (; s < f.inner; ++s) {
         const float norm = static_cast<float>((xs[s] - mean) * istd);
-        ns[s] = norm;
+        if (ns) ns[s] = norm;
         ys[s] = __builtin_fmaf(g, norm, bta);
       }
     }
@@ -127,15 +129,23 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
   const double count = static_cast<double>(f.n) * f.inner;
 
   for (int c = 0; c < channels_; ++c) {
+    const double mean = cached_mean_[static_cast<std::size_t>(c)];
     const double istd = cached_istd_[static_cast<std::size_t>(c)];
     const float g = gamma_.value.cdata()[c];
     double sum_g = 0.0, sum_gn = 0.0;
     for (int b = 0; b < f.n; ++b) {
+      const std::size_t base = cidx(f, b, c, 0);
+      const float* gos = grad_out.cdata() + base;
+      const float* xs = cached_input_.cdata() + base;
+      const float* ns =
+          cached_training_ ? cached_norm_.cdata() + base : nullptr;
       for (int s = 0; s < f.inner; ++s) {
-        const std::size_t i = cidx(f, b, c, s);
-        const double go = grad_out[static_cast<std::int64_t>(i)];
+        const double go = gos[s];
+        // Eval mode recomputes the forward's expression: the same bits.
+        const float norm =
+            ns ? ns[s] : static_cast<float>((xs[s] - mean) * istd);
         sum_g += go;
-        sum_gn += go * cached_norm_[static_cast<std::int64_t>(i)];
+        sum_gn += go * norm;
       }
     }
     gamma_.grad[c] += static_cast<float>(sum_gn);

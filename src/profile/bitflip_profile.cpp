@@ -1,6 +1,5 @@
 #include "profile/bitflip_profile.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -71,7 +70,7 @@ void parse_body(BitFlipProfile& p, const std::string& body,
 
 void BitFlipProfile::add(std::int64_t linear_bit,
                          dram::FlipDirection direction) {
-  bits_.emplace(linear_bit, direction);
+  bits_.emplace_hint(bits_.end(), linear_bit, direction);
 }
 
 std::optional<dram::FlipDirection> BitFlipProfile::lookup(
@@ -82,9 +81,7 @@ std::optional<dram::FlipDirection> BitFlipProfile::lookup(
 }
 
 std::int64_t BitFlipProfile::max_linear_bit() const {
-  std::int64_t max_bit = -1;
-  for (const auto& [addr, dir] : bits_) max_bit = std::max(max_bit, addr);
-  return max_bit;
+  return bits_.empty() ? -1 : bits_.rbegin()->first;
 }
 
 std::vector<VulnerableBit> BitFlipProfile::sorted_bits() const {
@@ -92,24 +89,15 @@ std::vector<VulnerableBit> BitFlipProfile::sorted_bits() const {
   out.reserve(bits_.size());
   for (const auto& [addr, dir] : bits_)
     out.push_back(VulnerableBit{addr, dir});
-  std::sort(out.begin(), out.end(),
-            [](const VulnerableBit& a, const VulnerableBit& b) {
-              return a.linear_bit < b.linear_bit;
-            });
   return out;
 }
 
 std::vector<VulnerableBit> BitFlipProfile::bits_in_range(
     std::int64_t begin_bit, std::int64_t end_bit) const {
   std::vector<VulnerableBit> out;
-  for (const auto& [addr, dir] : bits_) {
-    if (addr >= begin_bit && addr < end_bit)
-      out.push_back(VulnerableBit{addr, dir});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const VulnerableBit& a, const VulnerableBit& b) {
-              return a.linear_bit < b.linear_bit;
-            });
+  for (auto it = bits_.lower_bound(begin_bit);
+       it != bits_.end() && it->first < end_bit; ++it)
+    out.push_back(VulnerableBit{it->first, it->second});
   return out;
 }
 

@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/cell_model.h"  // FlipDirection
@@ -30,6 +30,8 @@ class BitFlipProfile {
   const std::string& mechanism_name() const { return mechanism_name_; }
 
   /// Adds a vulnerable bit (idempotent; keeps the first direction seen).
+  /// Amortized constant time when bits arrive in ascending order, as
+  /// they do from a saved profile.
   void add(std::int64_t linear_bit, dram::FlipDirection direction);
 
   /// Direction the cell flips in, or nullopt if not in the profile.
@@ -50,7 +52,8 @@ class BitFlipProfile {
   /// All entries, sorted by linear bit address.
   std::vector<VulnerableBit> sorted_bits() const;
 
-  /// Entries with addresses in [begin_bit, end_bit).
+  /// Entries with addresses in [begin_bit, end_bit), sorted.  Logarithmic
+  /// in the profile size plus the entries returned.
   std::vector<VulnerableBit> bits_in_range(std::int64_t begin_bit,
                                            std::int64_t end_bit) const;
 
@@ -83,7 +86,9 @@ class BitFlipProfile {
 
  private:
   std::string mechanism_name_;
-  std::unordered_map<std::int64_t, dram::FlipDirection> bits_;
+  /// Ordered by address, so range queries and the sorted dump need no
+  /// scan or sort.
+  std::map<std::int64_t, dram::FlipDirection> bits_;
 };
 
 }  // namespace rowpress::profile

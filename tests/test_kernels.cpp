@@ -7,6 +7,7 @@
 // aliasing rules behind zero-copy reshapes.
 #include "nn/kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "attack/step.h"
 #include "common/crc32.h"
 #include "models/zoo.h"
+#include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/quant/qmodel.h"
@@ -208,32 +210,38 @@ INSTANTIATE_TEST_SUITE_P(Backends, GemmGolden,
 // every backend.  The lowering below builds its columns from the im2col
 // definition itself, so it checks kernels::im2col too.
 
-/// Per-sample im2col (definition: +0.0f where a tap lands in the padding)
-/// + ref::gemm_nn, for the whole batch.
-std::vector<float> lowered_conv(const std::vector<float>& x,
-                                const std::vector<float>& w,
-                                const float* bias, const ConvShape& s) {
+/// im2col of one sample from its definition: +0.0f where a tap lands in
+/// the padding.
+void im2col_def(const float* xb, const ConvShape& s, std::vector<float>& col) {
   const int oh = s.out_h(), ow = s.out_w(), spatial = oh * ow;
-  const int patch = s.patch();
-  std::vector<float> y(static_cast<std::size_t>(s.batch) * s.cout * spatial);
-  std::vector<float> col(static_cast<std::size_t>(patch) * spatial);
-  std::vector<float> col_kernel(col.size());
-  for (int b = 0; b < s.batch; ++b) {
-    const float* xb = x.data() + static_cast<std::size_t>(b) * s.cin * s.h * s.w;
-    for (int ci = 0; ci < s.cin; ++ci)
-      for (int ki = 0; ki < s.kh; ++ki)
-        for (int kj = 0; kj < s.kw; ++kj)
-          for (int i = 0; i < oh; ++i)
-            for (int j = 0; j < ow; ++j) {
-              const int r = i * s.stride - s.pad_h + ki;
-              const int c = j * s.stride - s.pad_w + kj;
-              const bool inside = r >= 0 && r < s.h && c >= 0 && c < s.w;
+  col.assign(static_cast<std::size_t>(s.patch()) * spatial, 0.0f);
+  for (int ci = 0; ci < s.cin; ++ci)
+    for (int ki = 0; ki < s.kh; ++ki)
+      for (int kj = 0; kj < s.kw; ++kj)
+        for (int i = 0; i < oh; ++i)
+          for (int j = 0; j < ow; ++j) {
+            const int r = i * s.stride - s.pad_h + ki;
+            const int c = j * s.stride - s.pad_w + kj;
+            if (r >= 0 && r < s.h && c >= 0 && c < s.w)
               col[((static_cast<std::size_t>(ci) * s.kh + ki) * s.kw + kj) *
                       spatial +
                   static_cast<std::size_t>(i) * ow + j] =
-                  inside ? xb[(static_cast<std::size_t>(ci) * s.h + r) * s.w + c]
-                         : 0.0f;
-            }
+                  xb[(static_cast<std::size_t>(ci) * s.h + r) * s.w + c];
+          }
+}
+
+/// Per-sample im2col_def + ref::gemm_nn, for the whole batch.
+std::vector<float> lowered_conv(const std::vector<float>& x,
+                                const std::vector<float>& w,
+                                const float* bias, const ConvShape& s) {
+  const int spatial = s.out_h() * s.out_w();
+  const int patch = s.patch();
+  std::vector<float> y(static_cast<std::size_t>(s.batch) * s.cout * spatial);
+  std::vector<float> col;
+  std::vector<float> col_kernel(static_cast<std::size_t>(patch) * spatial);
+  for (int b = 0; b < s.batch; ++b) {
+    const float* xb = x.data() + static_cast<std::size_t>(b) * s.cin * s.h * s.w;
+    im2col_def(xb, s, col);
     im2col(xb, s, col_kernel.data());
     EXPECT_EQ(std::memcmp(col.data(), col_kernel.data(),
                           col.size() * sizeof(float)),
@@ -418,6 +426,230 @@ TEST_P(ConvGolden, BatchEqualsConcatenatedSamples) {
       concat.insert(concat.end(), yb.begin(), yb.end());
     }
     expect_same_bits(batched, concat, "batch vs per-sample");
+  }
+}
+
+// --- batch-lane conv backward --------------------------------------------
+//
+// conv_bwd must equal the per-sample lowering the layers used to run — im2col,
+// naive gemm_nt into dW, naive gemm_tn into a zeroed dcol, col2im into a
+// zeroed dX, a plain sum per channel into the bias gradient — bit for bit,
+// on every backend.  dX's col2im is written from its definition here.
+
+/// The three gradients of one conv_bwd call.  dw and db hold the values on
+/// entry, which conv_bwd accumulates into.
+struct ConvGrads {
+  std::vector<float> dx, dw, db;
+};
+
+ConvGrads lowered_conv_bwd(const std::vector<float>& x,
+                           const std::vector<float>& g,
+                           const std::vector<float>& w, ConvGrads grads,
+                           const ConvShape& s) {
+  const int oh = s.out_h(), ow = s.out_w(), spatial = oh * ow;
+  const int patch = s.patch();
+  const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
+  grads.dx.assign(static_cast<std::size_t>(s.batch) * in_sample, 0.0f);
+  std::vector<float> col;
+  std::vector<float> dcol(static_cast<std::size_t>(patch) * spatial);
+  for (int b = 0; b < s.batch; ++b) {
+    const float* gb = g.data() + static_cast<std::size_t>(b) * s.cout * spatial;
+    im2col_def(x.data() + b * in_sample, s, col);
+    ref::gemm_nt(gb, col.data(), grads.dw.data(), s.cout, spatial, patch);
+    if (!grads.db.empty())
+      for (int co = 0; co < s.cout; ++co) {
+        float acc = 0.0f;
+        for (int q = 0; q < spatial; ++q)
+          acc += gb[static_cast<std::size_t>(co) * spatial + q];
+        grads.db[static_cast<std::size_t>(co)] += acc;
+      }
+    std::fill(dcol.begin(), dcol.end(), 0.0f);
+    ref::gemm_tn(w.data(), gb, dcol.data(), s.cout, patch, spatial);
+    float* dxb = grads.dx.data() + b * in_sample;
+    for (int ci = 0; ci < s.cin; ++ci)
+      for (int ki = 0; ki < s.kh; ++ki)
+        for (int kj = 0; kj < s.kw; ++kj)
+          for (int i = 0; i < oh; ++i)
+            for (int j = 0; j < ow; ++j) {
+              const int r = i * s.stride - s.pad_h + ki;
+              const int c = j * s.stride - s.pad_w + kj;
+              if (r >= 0 && r < s.h && c >= 0 && c < s.w)
+                dxb[(static_cast<std::size_t>(ci) * s.h + r) * s.w + c] +=
+                    dcol[((static_cast<std::size_t>(ci) * s.kh + ki) * s.kw +
+                          kj) * spatial +
+                         static_cast<std::size_t>(i) * ow + j];
+            }
+  }
+  return grads;
+}
+
+/// conv_bwd on `backend`; dX pre-poisoned so unwritten elements show.
+ConvGrads run_conv_bwd(const std::vector<float>& x, const std::vector<float>& g,
+                       const std::vector<float>& w, ConvGrads grads,
+                       const ConvShape& s, Backend backend) {
+  grads.dx.assign(static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w,
+                  std::nanf(""));
+  const Backend saved = active_backend();
+  set_backend(backend);
+  conv_bwd(x.data(), g.data(), w.data(), grads.dx.data(), grads.dw.data(),
+           grads.db.empty() ? nullptr : grads.db.data(), s);
+  set_backend(saved);
+  return grads;
+}
+
+void expect_same_grads(const ConvGrads& got, const ConvGrads& want,
+                       const std::string& what) {
+  expect_same_bits(got.dx, want.dx, what + " dx");
+  expect_same_bits(got.dw, want.dw, what + " dw");
+  expect_same_bits(got.db, want.db, what + " db");
+}
+
+/// Random x, grad_out and weights for `s`, and non-zero gradients on entry.
+struct BwdCase {
+  std::vector<float> x, g, w;
+  ConvGrads entry;
+};
+
+BwdCase random_bwd_case(const ConvShape& s, Rng& rng, bool with_bias) {
+  BwdCase c;
+  c.x.resize(static_cast<std::size_t>(s.batch) * s.cin * s.h * s.w);
+  c.g.resize(static_cast<std::size_t>(s.batch) * s.cout * s.out_h() *
+             s.out_w());
+  c.w.resize(static_cast<std::size_t>(s.cout) * s.patch());
+  c.entry.dw.resize(c.w.size());
+  if (with_bias) c.entry.db.resize(static_cast<std::size_t>(s.cout));
+  for (auto* v : {&c.x, &c.g, &c.w, &c.entry.dw, &c.entry.db})
+    for (auto& e : *v) e = static_cast<float>(rng.normal());
+  return c;
+}
+
+TEST_P(ConvGolden, BackwardMatchesLoweringBitwiseAcrossGrid) {
+  const Backend backend = GetParam();
+  Rng rng(31);
+  for (const bool two_d : {false, true}) {
+    for (const int k : {1, 3, 5, 9}) {
+      for (const int stride : {1, 2}) {
+        for (const int pad : {0, k / 2}) {
+          // 4 | 5 straddle the per-sample cutoff; 13 and 17 end in a
+          // lane chunk and a per-sample tail respectively.
+          for (const int batch : {1, 4, 5, 8, 13, 17, 32}) {
+            const ConvShape s = conv_shape(two_d, batch, k, stride, pad);
+            if (s.out_h() <= 0 || s.out_w() <= 0) continue;
+            for (const bool with_bias : {false, true}) {
+              BwdCase c = random_bwd_case(s, rng, with_bias);
+              // Zero weights of both signs exercise the zero-skip; -0.0f
+              // inputs and grads sit next to the padded taps.
+              for (std::size_t i = 0; i < c.w.size(); i += 7)
+                c.w[i] = (i % 14 == 0) ? 0.0f : -0.0f;
+              for (std::size_t i = 3; i < c.x.size(); i += 11) c.x[i] = -0.0f;
+              for (std::size_t i = 5; i < c.g.size(); i += 13) c.g[i] = -0.0f;
+              expect_same_grads(
+                  run_conv_bwd(c.x, c.g, c.w, c.entry, s, backend),
+                  lowered_conv_bwd(c.x, c.g, c.w, c.entry, s),
+                  std::string(backend_name(backend)) + (two_d ? " 2d" : " 1d") +
+                      " k=" + std::to_string(k) + " stride=" +
+                      std::to_string(stride) + " pad=" + std::to_string(pad) +
+                      " batch=" + std::to_string(batch) +
+                      " bias=" + std::to_string(with_bias));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ConvGolden, BackwardZeroWeightShieldsNonFiniteGrad) {
+  // Every weight of output channel 1 is zero, and that channel's grad_out
+  // holds NaN and Inf: the zero-skip must keep them out of every dX chain,
+  // as the gemm_tn + col2im lowering did.  dW has no skip, so channel 1's
+  // weight gradient is non-finite on both sides; the other rows must match
+  // bitwise.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    for (const int batch : {3, 19}) {
+      const ConvShape s = conv_shape(two_d, batch, 3, 1, 1);
+      Rng rng(37);
+      BwdCase c = random_bwd_case(s, rng, /*with_bias=*/false);
+      const std::size_t plane = static_cast<std::size_t>(s.out_h()) * s.out_w();
+      for (int b = 0; b < s.batch; ++b)
+        for (std::size_t i = 0; i < plane; ++i)
+          c.g[(static_cast<std::size_t>(b) * s.cout + 1) * plane + i] =
+              (i % 2 == 0) ? std::nanf("") : INFINITY;
+      for (int p = 0; p < s.patch(); ++p)
+        c.w[static_cast<std::size_t>(s.patch()) + p] = 0.0f;
+      const ConvGrads got = run_conv_bwd(c.x, c.g, c.w, c.entry, s, backend);
+      const ConvGrads want = lowered_conv_bwd(c.x, c.g, c.w, c.entry, s);
+      expect_same_bits(got.dx, want.dx, "nonfinite dx");
+      for (const float v : got.dx) ASSERT_TRUE(std::isfinite(v));
+      for (std::size_t i = 0; i < got.dw.size(); ++i) {
+        if (i / static_cast<std::size_t>(s.patch()) == 1) {
+          ASSERT_FALSE(std::isfinite(got.dw[i])) << "i=" << i;
+          ASSERT_FALSE(std::isfinite(want.dw[i])) << "i=" << i;
+        } else {
+          ASSERT_EQ(std::memcmp(&got.dw[i], &want.dw[i], sizeof(float)), 0)
+              << "nonfinite dw i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ConvGolden, BackwardSignedZeros) {
+  // Inputs and grads are +-0.0f only, weights mixed with zeros of both
+  // signs, and every dW / bias entry is -0.0f on entry.  Every product is a
+  // zero, so each sample's dot product is +0.0f and adding it turns the
+  // -0.0f entries +0.0f: a kernel that skipped a sample's add, or started
+  // a chain from -0.0f, would leave a -0.0f behind.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    for (const int batch : {2, 8, 13}) {
+      const ConvShape s = conv_shape(two_d, batch, 3, 2, 1);
+      Rng rng(41);
+      BwdCase c = random_bwd_case(s, rng, /*with_bias=*/true);
+      for (std::size_t i = 0; i < c.x.size(); ++i)
+        c.x[i] = (i % 3 == 0) ? -0.0f : 0.0f;
+      for (std::size_t i = 0; i < c.g.size(); ++i)
+        c.g[i] = (i % 2 == 0) ? -0.0f : 0.0f;
+      for (std::size_t i = 0; i < c.w.size(); i += 5)
+        c.w[i] = (i % 10 == 0) ? 0.0f : -0.0f;
+      std::fill(c.entry.dw.begin(), c.entry.dw.end(), -0.0f);
+      std::fill(c.entry.db.begin(), c.entry.db.end(), -0.0f);
+      const ConvGrads got = run_conv_bwd(c.x, c.g, c.w, c.entry, s, backend);
+      expect_same_grads(got, lowered_conv_bwd(c.x, c.g, c.w, c.entry, s),
+                        "signed zero");
+      for (const auto* v : {&got.dx, &got.dw, &got.db})
+        for (const float e : *v) ASSERT_TRUE(e == 0.0f && !std::signbit(e));
+    }
+  }
+}
+
+TEST_P(ConvGolden, BackwardBatchEqualsConcatenatedSamples) {
+  // A sample's dX must not depend on its batch neighbours or its lane, and
+  // the batch's dW must equal per-sample calls accumulated in batch order.
+  const Backend backend = GetParam();
+  for (const bool two_d : {false, true}) {
+    const ConvShape s = conv_shape(two_d, 17, 5, 2, 2);
+    Rng rng(43);
+    const BwdCase c = random_bwd_case(s, rng, /*with_bias=*/true);
+    const ConvGrads batched = run_conv_bwd(c.x, c.g, c.w, c.entry, s, backend);
+
+    ConvShape one = s;
+    one.batch = 1;
+    const std::size_t in_sample = c.x.size() / s.batch;
+    const std::size_t out_sample = c.g.size() / s.batch;
+    ConvGrads chained = c.entry;
+    for (int b = 0; b < s.batch; ++b) {
+      const std::vector<float> xb(c.x.begin() + b * in_sample,
+                                  c.x.begin() + (b + 1) * in_sample);
+      const std::vector<float> gb(c.g.begin() + b * out_sample,
+                                  c.g.begin() + (b + 1) * out_sample);
+      ConvGrads step = run_conv_bwd(xb, gb, c.w, chained, one, backend);
+      chained.dx.insert(chained.dx.end(), step.dx.begin(), step.dx.end());
+      chained.dw = step.dw;
+      chained.db = step.db;
+    }
+    expect_same_grads(batched, chained, "batch vs per-sample");
   }
 }
 
@@ -706,6 +938,26 @@ TEST(KernelDispatch, ConvRecordsIntoConvHistogram) {
   const std::vector<double> bounds{1e3,   4e3, 16e3, 64e3, 256e3,
                                    1e6, 4e6, 16e6, 64e6};
   EXPECT_EQ(reg.histogram("kernels.conv_ns", bounds).count(), 1);
+  EXPECT_EQ(reg.histogram("kernels.gemm_ns", bounds).count(), 0);
+}
+
+// Conv backward time lands in its own series, through the layer's call.
+TEST(KernelDispatch, Conv2dBackwardRecordsIntoConvBwdHistogram) {
+  telemetry::MetricsRegistry reg;
+  Rng rng(5);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
+  Tensor x({2, 2, 5, 5});
+  for (std::int64_t i = 0; i < x.numel(); ++i)
+    x[i] = static_cast<float>(rng.normal());
+  const Tensor y = conv.forward(x);
+  {
+    ScopedBindMetrics bound(&reg);
+    conv.backward(Tensor::full(y.shape(), 1.0f));
+  }
+  const std::vector<double> bounds{1e3,   4e3, 16e3, 64e3, 256e3,
+                                   1e6, 4e6, 16e6, 64e6};
+  EXPECT_EQ(reg.histogram("kernels.conv_bwd_ns", bounds).count(), 1);
+  EXPECT_EQ(reg.histogram("kernels.conv_ns", bounds).count(), 0);
   EXPECT_EQ(reg.histogram("kernels.gemm_ns", bounds).count(), 0);
 }
 

@@ -3,6 +3,10 @@
 // BFA ranks bits by dL/dW, so a wrong backward silently breaks the science.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "nn/activation.h"
 #include "nn/attention.h"
 #include "nn/conv1d.h"
@@ -83,6 +87,74 @@ TEST(GradCheck, BatchNormEvalMode) {
   m.set_training(false);
   const auto r = grad_check(m, {4, 3, 4, 4}, rng);
   EXPECT_LT(r.max_rel_error, kTol);
+}
+
+// The eval-mode forward no longer stores the normalized input; backward
+// recomputes it.  Pin the outputs bitwise to the path that cached it,
+// restated here in scalar form: norm = float((x - mean) * istd) cached by
+// the forward, y = fmaf(gamma, norm, beta), and a backward reading that
+// cache.
+TEST(Layers, BatchNormEvalMatchesCachedNormBitwise) {
+  const auto same = [](float a, float b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const int n : {1, 5, 32, 256}) {
+    for (const int c : {8, 16}) {
+      for (const int inner : {144, 36, 9, 7}) {
+        Rng rng(static_cast<std::uint64_t>(n * 1000 + c * 10 + inner));
+        BatchNorm m(c, rng);
+        m.set_training(true);
+        m.forward(Tensor::randn({8, c, inner}, rng));  // running stats
+        for (Param* p : m.parameters())
+          for (std::int64_t i = 0; i < p->value.numel(); ++i)
+            p->value[i] = static_cast<float>(rng.normal());
+        m.set_training(false);
+        const Tensor x = Tensor::randn({n, c, inner}, rng);
+        const Tensor go = Tensor::randn({n, c, inner}, rng);
+        const Tensor y = m.forward(x);
+        const Tensor gi = m.backward(go);
+
+        const Param& gamma = *m.parameters()[0];
+        const Param& beta = *m.parameters()[1];
+        for (int ch = 0; ch < c; ++ch) {
+          const double mean = m.running_mean().cdata()[ch];
+          const double istd =
+              1.0 / std::sqrt(static_cast<double>(m.running_var().cdata()[ch]) +
+                              1e-5);
+          const float g = gamma.value.cdata()[ch];
+          const float bt = beta.value.cdata()[ch];
+          std::vector<float> norm;
+          for (int b = 0; b < n; ++b)
+            for (int s = 0; s < inner; ++s) {
+              const std::int64_t i = (static_cast<std::int64_t>(b) * c + ch) *
+                                         inner + s;
+              norm.push_back(static_cast<float>((x[i] - mean) * istd));
+              ASSERT_TRUE(same(y[i], __builtin_fmaf(g, norm.back(), bt)))
+                  << "y n=" << n << " c=" << c << " inner=" << inner;
+            }
+          double sum_g = 0.0, sum_gn = 0.0;
+          std::size_t k = 0;
+          for (int b = 0; b < n; ++b)
+            for (int s = 0; s < inner; ++s) {
+              const std::int64_t i = (static_cast<std::int64_t>(b) * c + ch) *
+                                         inner + s;
+              const double gov = go[i];
+              sum_g += gov;
+              sum_gn += gov * norm[k++];
+              ASSERT_TRUE(same(gi[i], static_cast<float>(g * istd * gov)))
+                  << "grad_in n=" << n << " c=" << c << " inner=" << inner;
+            }
+          // The grads start at zero and backward adds into them.
+          ASSERT_TRUE(
+              same(gamma.grad.cdata()[ch], 0.0f + static_cast<float>(sum_gn)))
+              << "gamma grad n=" << n << " c=" << c << " inner=" << inner;
+          ASSERT_TRUE(
+              same(beta.grad.cdata()[ch], 0.0f + static_cast<float>(sum_g)))
+              << "beta grad n=" << n << " c=" << c << " inner=" << inner;
+        }
+      }
+    }
+  }
 }
 
 TEST(GradCheck, BatchNorm1d) {

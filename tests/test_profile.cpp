@@ -42,6 +42,31 @@ TEST(BitFlipProfile, SortedBitsAndRangeQueries) {
   const auto in_range = p.bits_in_range(10, 500);
   ASSERT_EQ(in_range.size(), 2u);  // half-open: 500 excluded
   EXPECT_EQ(in_range[1].linear_bit, 300);
+  EXPECT_TRUE(p.bits_in_range(300, 300).empty());  // empty range
+  EXPECT_TRUE(p.bits_in_range(301, 500).empty());  // between entries
+  EXPECT_TRUE(p.bits_in_range(501, 10'000).empty());  // past the last entry
+  ASSERT_EQ(p.bits_in_range(-5, 11).size(), 1u);
+  EXPECT_EQ(p.max_linear_bit(), 500);
+
+  // A duplicate keeps the first direction seen, wherever it lands.
+  p.add(300, FlipDirection::kOneToZero);
+  p.add(500, FlipDirection::kZeroToOne);
+  p.add(7, FlipDirection::kZeroToOne);
+  p.add(7, FlipDirection::kOneToZero);
+  EXPECT_EQ(p.size(), 4u);
+  EXPECT_EQ(p.lookup(300), FlipDirection::kZeroToOne);
+  EXPECT_EQ(p.lookup(500), FlipDirection::kOneToZero);
+  EXPECT_EQ(p.lookup(7), FlipDirection::kZeroToOne);
+  const auto all = p.sorted_bits();
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all.front().linear_bit, 7);
+  EXPECT_EQ(all[2].direction, FlipDirection::kZeroToOne);
+  EXPECT_EQ(p.bits_in_range(7, 501).size(), 4u);
+
+  const BitFlipProfile empty("none");
+  EXPECT_EQ(empty.max_linear_bit(), -1);
+  EXPECT_TRUE(empty.sorted_bits().empty());
+  EXPECT_TRUE(empty.bits_in_range(0, 1'000).empty());
 }
 
 TEST(BitFlipProfile, OverlapCount) {
