@@ -224,6 +224,10 @@ namespace {
 
 constexpr int kLanes = 8;     ///< samples per SIMD vector
 constexpr int kMaxBlock = 8;  ///< independent chains per micro-kernel call
+/// Origins of kMaxBlock consecutive lane vectors.
+constexpr std::int32_t kConsecutive[kMaxBlock] = {
+    0, kLanes, 2 * kLanes, 3 * kLanes, 4 * kLanes, 5 * kLanes, 6 * kLanes,
+    7 * kLanes};
 
 /// kLanes floats as one GNU vector: a per-lane fmaf over it compiles to a
 /// single vector FMA wherever the target has one.
@@ -294,7 +298,6 @@ struct LaneScratch {
   std::vector<Tap> taps;       ///< every chain's taps, chain-major
   std::vector<std::int32_t> tap_begin;  ///< [chains + 1] starts into taps
   std::vector<std::int32_t> pos_off;    ///< [oh*ow] position origins
-  std::vector<std::int32_t> gpos_off;   ///< [oh*ow] origins in gpacked
   std::vector<std::int32_t> patch_off;  ///< [patch] tap offsets in packed
   std::vector<float> col, gcol;  ///< one sample's im2col matrix and dcol
 };
@@ -560,9 +563,6 @@ void batch_lane_conv_bwd(const float* x, const float* grad_out,
     }
     sc.tap_begin.push_back(static_cast<std::int32_t>(sc.taps.size()));
   }
-  sc.gpos_off.resize(static_cast<std::size_t>(g.spatial));
-  for (int q = 0; q < g.spatial; ++q)
-    sc.gpos_off[static_cast<std::size_t>(q)] = q * kLanes;
 
   float* xt = aligned_lanes(sc.packed, g.chunk);
   std::fill_n(xt, g.chunk, 0.0f);  // border stays +0.0f, see batch_lane_conv
@@ -614,7 +614,8 @@ void batch_lane_conv_bwd(const float* x, const float* grad_out,
         float* dp = dxt + sc.patch_off[static_cast<std::size_t>(p)];
         with_block_size(np, [&](auto P) {
           LaneVec acc[P];
-          lane_chains(gt, sc.gpos_off.data() + q0, sc.taps.data() + t0,
+          lane_chains(gt + static_cast<std::size_t>(q0) * kLanes,
+                      kConsecutive, sc.taps.data() + t0,
                       sc.tap_begin[static_cast<std::size_t>(p) + 1] - t0,
                       0.0f, acc);
           for (int q = 0; q < P; ++q) {
