@@ -40,12 +40,14 @@
 // forward's output block, the dW fold and the dX unpack.  Moves only, so
 // no element's sequence changes.
 //
-// A chunk costs the same whether it holds one sample or kLanes, so a final
-// chunk of at most kLanes / 2 samples (and so a whole batch that small)
-// runs the per-sample im2col lowering instead, on the backend's own GEMMs:
-// on ResNet-20's and M11's conv layers the lanes lose to it at batch 1 and
-// win from batch 5 (README "Performance").  Both lowerings produce the same
-// bits, so the cutoff changes speed only.
+// A chunk costs the same whether it holds one sample or kLanes, so in the
+// forward a final chunk of at most kLanes / 2 samples (and so a whole batch
+// that small) runs the per-sample im2col lowering instead, on the backend's
+// own gemm_nn: on ResNet-20's and M11's conv layers the lanes lose to it at
+// batch 1 and win from batch 5 (README "Performance").  Both lowerings
+// produce the same bits, so the cutoff changes speed only.  The backward
+// runs every batch in lanes: its only callers are the attack's gradient
+// passes and training, both at batch 32.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -110,7 +112,7 @@ void col2im(const float* col, const ConvShape& s, float* x) {
 /// output; col holds one sample's [patch, oh*ow] matrix.
 void lowered_conv(const float* x, const float* weight, const float* bias,
                   float* y, const ConvShape& s, int b0, int b1,
-                  detail::GemmFn gemm_nn, float* col) {
+                  detail::GemmNnFn gemm_nn, float* col) {
   const int patch = s.patch();
   const int spatial = s.out_h() * s.out_w();
   for (int b = b0; b < b1; ++b) {
@@ -120,28 +122,6 @@ void lowered_conv(const float* x, const float* weight, const float* bias,
       std::fill_n(out + static_cast<std::size_t>(co) * spatial, spatial,
                   bias ? bias[co] : 0.0f);
     gemm_nn(weight, col, out, s.cout, patch, spatial);
-  }
-}
-
-/// Samples [b0, b1) through the per-sample backward lowering: im2col +
-/// gemm_nt into dW, gemm_tn into a zeroed dcol, col2im into a zeroed dX.
-/// col and gcol each hold one sample's [patch, oh*ow] matrix.
-void lowered_conv_bwd(const float* x, const float* grad_out,
-                      const float* weight, float* grad_in, float* grad_weight,
-                      const ConvShape& s, int b0, int b1,
-                      detail::GemmFn gemm_nt, detail::GemmFn gemm_tn,
-                      float* col, float* gcol) {
-  const int patch = s.patch();
-  const int spatial = s.out_h() * s.out_w();
-  const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
-  for (int b = b0; b < b1; ++b) {
-    const float* g = grad_out + static_cast<std::size_t>(b) * s.cout * spatial;
-    im2col(x + b * in_sample, s, col);
-    gemm_nt(g, col, grad_weight, s.cout, spatial, patch);
-    std::fill_n(gcol, static_cast<std::size_t>(patch) * spatial, 0.0f);
-    gemm_tn(weight, g, gcol, s.cout, patch, spatial);
-    std::fill_n(grad_in + b * in_sample, in_sample, 0.0f);
-    col2im(gcol, s, grad_in + b * in_sample);
   }
 }
 
@@ -209,11 +189,22 @@ void conv_fwd(const float* x, const float* weight, const float* bias,
 void conv_bwd(const float* x, const float* grad_out, const float* weight,
               float* grad_in, float* grad_weight, float* grad_bias,
               const ConvShape& s) {
-  std::vector<float> col(static_cast<std::size_t>(s.patch()) * s.out_h() *
-                         s.out_w());
-  std::vector<float> gcol(col.size());
-  lowered_conv_bwd(x, grad_out, weight, grad_in, grad_weight, s, 0, s.batch,
-                   ref::gemm_nt, ref::gemm_tn, col.data(), gcol.data());
+  // Per sample: im2col + gemm_nt into dW, gemm_tn into a zeroed dcol,
+  // col2im into a zeroed dX.
+  const int patch = s.patch();
+  const int spatial = s.out_h() * s.out_w();
+  const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
+  std::vector<float> col(static_cast<std::size_t>(patch) * spatial);
+  std::vector<float> dcol(col.size());
+  for (int b = 0; b < s.batch; ++b) {
+    const float* g = grad_out + static_cast<std::size_t>(b) * s.cout * spatial;
+    im2col(x + b * in_sample, s, col.data());
+    ref::gemm_nt(g, col.data(), grad_weight, s.cout, spatial, patch);
+    std::fill(dcol.begin(), dcol.end(), 0.0f);
+    ref::gemm_tn(weight, g, dcol.data(), s.cout, patch, spatial);
+    std::fill_n(grad_in + b * in_sample, in_sample, 0.0f);
+    col2im(dcol.data(), s, grad_in + b * in_sample);
+  }
   if (grad_bias) bias_grad(grad_out, s, grad_bias);
 }
 
@@ -275,8 +266,8 @@ inline void transpose_block(const LaneVec (&acc)[P], LaneVec (&out)[kLanes]) {
   transpose(tile, out);
 }
 
-/// Samples [0, lane_batch) run in lanes; a last chunk of at most kLanes / 2
-/// samples runs the per-sample lowering.
+/// Forward samples [0, lane_batch) run in lanes; a last chunk of at most
+/// kLanes / 2 samples runs the per-sample lowering.
 int lane_batch(int batch) {
   const int tail = batch % kLanes;
   return tail > kLanes / 2 ? batch : batch - tail;
@@ -299,7 +290,7 @@ struct LaneScratch {
   std::vector<std::int32_t> tap_begin;  ///< [chains + 1] starts into taps
   std::vector<std::int32_t> pos_off;    ///< [oh*ow] position origins
   std::vector<std::int32_t> patch_off;  ///< [patch] tap offsets in packed
-  std::vector<float> col, gcol;  ///< one sample's im2col matrix and dcol
+  std::vector<float> col;      ///< one sample's im2col matrix
 };
 
 LaneScratch& lane_scratch() {
@@ -333,10 +324,7 @@ LaneGeom lane_geometry(const ConvShape& s, LaneScratch& sc) {
   g.wp = s.w + 2 * s.pad_w;
   g.chunk = static_cast<std::size_t>(s.cin) * g.hp * g.wp * kLanes;
   RP_REQUIRE(g.chunk < static_cast<std::size_t>(
-                           std::numeric_limits<std::int32_t>::max()) &&
-                 static_cast<std::size_t>(s.cout) * g.spatial * kLanes <
-                     static_cast<std::size_t>(
-                         std::numeric_limits<std::int32_t>::max()),
+                           std::numeric_limits<std::int32_t>::max()),
              "conv: planes too large for the batch-lane kernel");
   sc.pos_off.resize(static_cast<std::size_t>(g.spatial));
   for (int i = 0; i < g.oh; ++i)
@@ -546,12 +534,31 @@ void batch_lane_conv(const float* x, const float* weight, const float* bias,
   }
 }
 
-/// Samples [0, nbatch) through the batch-lane backward.
-void batch_lane_conv_bwd(const float* x, const float* grad_out,
-                         const float* weight, float* grad_in,
-                         float* grad_weight, const ConvShape& s, int nbatch,
-                         LaneScratch& sc) {
+}  // namespace
+
+void lane_conv_fwd(const float* x, const float* weight, const float* bias,
+                   float* y, const ConvShape& s, GemmNnFn gemm_nn) {
+  const int lanes = lane_batch(s.batch);
+  LaneScratch& sc = lane_scratch();
+  if (lanes > 0) batch_lane_conv(x, weight, bias, y, s, lanes, sc);
+  if (lanes < s.batch) {
+    sc.col.resize(static_cast<std::size_t>(s.patch()) * s.out_h() * s.out_w());
+    lowered_conv(x, weight, bias, y, s, lanes, s.batch, gemm_nn,
+                 sc.col.data());
+  }
+}
+
+void lane_conv_bwd(const float* x, const float* grad_out, const float* weight,
+                   float* grad_in, float* grad_weight, float* grad_bias,
+                   const ConvShape& s) {
+  LaneScratch& sc = lane_scratch();
   const LaneGeom g = lane_geometry(s, sc);
+  // dX taps address the packed grad_out chunk with int32 offsets.
+  const std::size_t gchunk =
+      static_cast<std::size_t>(s.cout) * g.spatial * kLanes;
+  RP_REQUIRE(gchunk < static_cast<std::size_t>(
+                          std::numeric_limits<std::int32_t>::max()),
+             "conv: planes too large for the batch-lane backward");
   // dX tap lists: one chain per patch entry over its non-zero weights in
   // ascending cout; a tap's offset is its channel's plane in gpacked.
   sc.taps.clear();
@@ -567,16 +574,14 @@ void batch_lane_conv_bwd(const float* x, const float* grad_out,
   float* xt = aligned_lanes(sc.packed, g.chunk);
   std::fill_n(xt, g.chunk, 0.0f);  // border stays +0.0f, see batch_lane_conv
   float* dxt = aligned_lanes(sc.dpacked, g.chunk);
-  const std::size_t gchunk =
-      static_cast<std::size_t>(s.cout) * g.spatial * kLanes;
   float* gt = aligned_lanes(sc.gpacked, gchunk);
 
   const std::size_t in_sample = static_cast<std::size_t>(s.cin) * s.h * s.w;
   const std::size_t out_sample = static_cast<std::size_t>(s.cout) * g.spatial;
   const int npos_blk = (g.spatial + kMaxBlock - 1) / kMaxBlock;
   const int npatch_blk = (g.patch + kMaxBlock - 1) / kMaxBlock;
-  for (int b0 = 0; b0 < nbatch; b0 += kLanes) {
-    const int nb = std::min(kLanes, nbatch - b0);
+  for (int b0 = 0; b0 < s.batch; b0 += kLanes) {
+    const int nb = std::min(kLanes, s.batch - b0);
     pack_chunk(x, s, g, b0, nb, xt);
     const float* grows[kLanes];
     for (int l = 0; l < nb; ++l)
@@ -636,38 +641,6 @@ void batch_lane_conv_bwd(const float* x, const float* grad_out,
                       (static_cast<std::size_t>(ci) * s.h + r) * s.w;
         deinterleave(dxt + interior_row(s, g, ci, r), nb, s.w, dxrows);
       }
-  }
-}
-
-}  // namespace
-
-void lane_conv_fwd(const float* x, const float* weight, const float* bias,
-                   float* y, const ConvShape& s, GemmFn gemm_nn) {
-  const int lanes = lane_batch(s.batch);
-  LaneScratch& sc = lane_scratch();
-  if (lanes > 0) batch_lane_conv(x, weight, bias, y, s, lanes, sc);
-  if (lanes < s.batch) {
-    sc.col.resize(static_cast<std::size_t>(s.patch()) * s.out_h() * s.out_w());
-    lowered_conv(x, weight, bias, y, s, lanes, s.batch, gemm_nn,
-                 sc.col.data());
-  }
-}
-
-void lane_conv_bwd(const float* x, const float* grad_out, const float* weight,
-                   float* grad_in, float* grad_weight, float* grad_bias,
-                   const ConvShape& s, GemmFn gemm_nt, GemmFn gemm_tn) {
-  const int lanes = lane_batch(s.batch);
-  LaneScratch& sc = lane_scratch();
-  if (lanes > 0)
-    batch_lane_conv_bwd(x, grad_out, weight, grad_in, grad_weight, s, lanes,
-                        sc);
-  if (lanes < s.batch) {
-    const std::size_t col_size =
-        static_cast<std::size_t>(s.patch()) * s.out_h() * s.out_w();
-    sc.col.resize(col_size);
-    sc.gcol.resize(col_size);
-    lowered_conv_bwd(x, grad_out, weight, grad_in, grad_weight, s, lanes,
-                     s.batch, gemm_nt, gemm_tn, sc.col.data(), sc.gcol.data());
   }
   if (grad_bias) bias_grad(grad_out, s, grad_bias);
 }

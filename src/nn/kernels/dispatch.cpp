@@ -244,15 +244,10 @@ void conv_bwd(const float* x, const float* grad_out, const float* weight,
         ref::conv_bwd(x, grad_out, weight, grad_in, grad_weight, grad_bias, s);
         break;
       case Backend::kPortable:
-        detail::lane_conv_bwd(x, grad_out, weight, grad_in, grad_weight,
-                              grad_bias, s, detail::portable_gemm_nt,
-                              detail::portable_gemm_tn);
-        break;
       case Backend::kAvx2:
       case Backend::kVnni:
         detail::lane_conv_bwd(x, grad_out, weight, grad_in, grad_weight,
-                              grad_bias, s, detail::avx2_gemm_nt,
-                              detail::avx2_gemm_tn);
+                              grad_bias, s);
         break;
     }
   });

@@ -55,17 +55,19 @@ void avx2_gemm_nt(const float* a, const float* b, float* c, int m, int k,
 void avx2_gemm_tn(const float* a, const float* b, float* c, int m, int k,
                   int n);
 
-/// A backend's GEMM entry point (gemm_nn, gemm_nt or gemm_tn).
-using GemmFn = void (*)(const float* a, const float* b, float* c, int m,
-                        int k, int n);
+/// A backend's gemm_nn entry point.
+using GemmNnFn = void (*)(const float* a, const float* b, float* c, int m,
+                          int k, int n);
 
-/// The batch-lane conv forward and backward shared by every non-naive
-/// backend.  A last chunk of at most half a lane vector of samples runs the
-/// per-sample im2col lowering instead, so pass the backend's own GEMMs.
+/// The batch-lane conv forward shared by every non-naive backend.  A last
+/// chunk of at most half a lane vector of samples runs per-sample im2col +
+/// `gemm_nn` instead, so pass the backend's own GEMM.
 void lane_conv_fwd(const float* x, const float* weight, const float* bias,
-                   float* y, const ConvShape& s, GemmFn gemm_nn);
+                   float* y, const ConvShape& s, GemmNnFn gemm_nn);
+/// The batch-lane conv backward shared by every non-naive backend; it runs
+/// every batch size in lanes.
 void lane_conv_bwd(const float* x, const float* grad_out, const float* weight,
                    float* grad_in, float* grad_weight, float* grad_bias,
-                   const ConvShape& s, GemmFn gemm_nt, GemmFn gemm_tn);
+                   const ConvShape& s);
 
 }  // namespace rowpress::nn::kernels::detail

@@ -54,7 +54,7 @@
 //     one at a time in batch order.  The bias gradient adds each sample's
 //     plain sum over positions, in batch order.  The naive backend runs the
 //     lowering literally; the others run lanes of 8 samples on the forward's
-//     packing, with the same small-batch cutoff on the backend's own GEMMs.
+//     packing at every batch size.
 //
 // The blocked/SIMD paths may reorder loops, tile, pack, or keep partial
 // sums in registers, but never change any element's operation sequence.

@@ -52,9 +52,6 @@ Tensor BatchNorm::forward(const Tensor& x) {
   cached_istd_.assign(static_cast<std::size_t>(channels_), 0.0);
 
   Tensor y(x.shape());
-  // Only the training backward reads the normalized input; the eval
-  // backward recomputes it from cached_input_.
-  cached_norm_ = training_ ? Tensor(x.shape()) : Tensor();
   const double count = static_cast<double>(f.n) * f.inner;
 
   for (int c = 0; c < channels_; ++c) {
@@ -97,7 +94,6 @@ Tensor BatchNorm::forward(const Tensor& x) {
     for (int b = 0; b < f.n; ++b) {
       const std::size_t base = cidx(f, b, c, 0);
       const float* xs = x.cdata() + base;
-      float* ns = training_ ? cached_norm_.data() + base : nullptr;
       float* ys = y.data() + base;
       int s = 0;
 #if defined(__AVX2__) && defined(__FMA__)
@@ -109,13 +105,11 @@ Tensor BatchNorm::forward(const Tensor& x) {
         const __m128 nhi = _mm256_cvtpd_ps(
             _mm256_mul_pd(_mm256_sub_pd(dhi, vmean), vistd));
         const __m256 norm = _mm256_set_m128(nhi, nlo);
-        if (ns) _mm256_storeu_ps(ns + s, norm);
         _mm256_storeu_ps(ys + s, _mm256_fmadd_ps(vg, norm, vb));
       }
 #endif
       for (; s < f.inner; ++s) {
         const float norm = static_cast<float>((xs[s] - mean) * istd);
-        if (ns) ns[s] = norm;
         ys[s] = __builtin_fmaf(g, norm, bta);
       }
     }
@@ -137,13 +131,10 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
       const std::size_t base = cidx(f, b, c, 0);
       const float* gos = grad_out.cdata() + base;
       const float* xs = cached_input_.cdata() + base;
-      const float* ns =
-          cached_training_ ? cached_norm_.cdata() + base : nullptr;
       for (int s = 0; s < f.inner; ++s) {
         const double go = gos[s];
-        // Eval mode recomputes the forward's expression: the same bits.
-        const float norm =
-            ns ? ns[s] : static_cast<float>((xs[s] - mean) * istd);
+        // The forward's normalized value, recomputed: the same bits.
+        const float norm = static_cast<float>((xs[s] - mean) * istd);
         sum_g += go;
         sum_gn += go * norm;
       }
@@ -157,7 +148,8 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
         for (int s = 0; s < f.inner; ++s) {
           const std::size_t i = cidx(f, b, c, s);
           const double go = grad_out[static_cast<std::int64_t>(i)];
-          const double norm = cached_norm_[static_cast<std::int64_t>(i)];
+          const double norm = static_cast<float>(
+              (cached_input_[static_cast<std::int64_t>(i)] - mean) * istd);
           grad_in[static_cast<std::int64_t>(i)] = static_cast<float>(
               g * istd * (go - sum_g / count - norm * sum_gn / count));
         }

@@ -42,7 +42,6 @@ class BatchNorm final : public Module {
 
   // forward cache
   Tensor cached_input_;
-  Tensor cached_norm_;     ///< (x - mean) / std; training mode only
   std::vector<double> cached_mean_, cached_istd_;
   bool cached_training_ = true;
 };

@@ -530,8 +530,8 @@ TEST_P(ConvGolden, BackwardMatchesLoweringBitwiseAcrossGrid) {
     for (const int k : {1, 3, 5, 9}) {
       for (const int stride : {1, 2}) {
         for (const int pad : {0, k / 2}) {
-          // 4 | 5 straddle the per-sample cutoff; 13 and 17 end in a
-          // lane chunk and a per-sample tail respectively.
+          // Partial chunks of 1, 4 and 5 samples alone and after full
+          // chunks (13, 17), and whole chunks (8, 32).
           for (const int batch : {1, 4, 5, 8, 13, 17, 32}) {
             const ConvShape s = conv_shape(two_d, batch, k, stride, pad);
             if (s.out_h() <= 0 || s.out_w() <= 0) continue;

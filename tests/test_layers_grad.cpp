@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/activation.h"
@@ -89,68 +90,101 @@ TEST(GradCheck, BatchNormEvalMode) {
   EXPECT_LT(r.max_rel_error, kTol);
 }
 
-// The eval-mode forward no longer stores the normalized input; backward
-// recomputes it.  Pin the outputs bitwise to the path that cached it,
-// restated here in scalar form: norm = float((x - mean) * istd) cached by
-// the forward, y = fmaf(gamma, norm, beta), and a backward reading that
-// cache.
-TEST(Layers, BatchNormEvalMatchesCachedNormBitwise) {
+// BatchNorm's forward does not store the normalized input; backward
+// recomputes it.  Pin the outputs bitwise, in both modes, to the path that
+// cached it, restated here in scalar form: norm = float((x - mean) * istd)
+// cached by the forward, y = fmaf(gamma, norm, beta), and a backward
+// reading that cache.  Training takes mean and variance from the batch in
+// double, eval from the running statistics.
+TEST(Layers, BatchNormMatchesCachedNormBitwise) {
   const auto same = [](float a, float b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
   };
-  for (const int n : {1, 5, 32, 256}) {
-    for (const int c : {8, 16}) {
-      for (const int inner : {144, 36, 9, 7}) {
-        Rng rng(static_cast<std::uint64_t>(n * 1000 + c * 10 + inner));
-        BatchNorm m(c, rng);
-        m.set_training(true);
-        m.forward(Tensor::randn({8, c, inner}, rng));  // running stats
-        for (Param* p : m.parameters())
-          for (std::int64_t i = 0; i < p->value.numel(); ++i)
-            p->value[i] = static_cast<float>(rng.normal());
-        m.set_training(false);
-        const Tensor x = Tensor::randn({n, c, inner}, rng);
-        const Tensor go = Tensor::randn({n, c, inner}, rng);
-        const Tensor y = m.forward(x);
-        const Tensor gi = m.backward(go);
+  for (const bool training : {false, true}) {
+    for (const int n : {1, 5, 32, 256}) {
+      for (const int c : {8, 16}) {
+        for (const int inner : {144, 36, 9, 7}) {
+          const std::string where =
+              std::string(training ? "training" : "eval") +
+              " n=" + std::to_string(n) + " c=" + std::to_string(c) +
+              " inner=" + std::to_string(inner);
+          Rng rng(static_cast<std::uint64_t>(n * 1000 + c * 10 + inner));
+          BatchNorm m(c, rng);
+          m.set_training(true);
+          m.forward(Tensor::randn({8, c, inner}, rng));  // running stats
+          for (Param* p : m.parameters())
+            for (std::int64_t i = 0; i < p->value.numel(); ++i)
+              p->value[i] = static_cast<float>(rng.normal());
+          m.set_training(training);
+          const Tensor x = Tensor::randn({n, c, inner}, rng);
+          const Tensor go = Tensor::randn({n, c, inner}, rng);
+          // Eval reads the running statistics the forward leaves alone.
+          std::vector<double> run_mean, run_var;
+          for (int ch = 0; ch < c; ++ch) {
+            run_mean.push_back(m.running_mean().cdata()[ch]);
+            run_var.push_back(m.running_var().cdata()[ch]);
+          }
+          const Tensor y = m.forward(x);
+          const Tensor gi = m.backward(go);
 
-        const Param& gamma = *m.parameters()[0];
-        const Param& beta = *m.parameters()[1];
-        for (int ch = 0; ch < c; ++ch) {
-          const double mean = m.running_mean().cdata()[ch];
-          const double istd =
-              1.0 / std::sqrt(static_cast<double>(m.running_var().cdata()[ch]) +
-                              1e-5);
-          const float g = gamma.value.cdata()[ch];
-          const float bt = beta.value.cdata()[ch];
-          std::vector<float> norm;
-          for (int b = 0; b < n; ++b)
-            for (int s = 0; s < inner; ++s) {
-              const std::int64_t i = (static_cast<std::int64_t>(b) * c + ch) *
-                                         inner + s;
-              norm.push_back(static_cast<float>((x[i] - mean) * istd));
-              ASSERT_TRUE(same(y[i], __builtin_fmaf(g, norm.back(), bt)))
-                  << "y n=" << n << " c=" << c << " inner=" << inner;
+          const Param& gamma = *m.parameters()[0];
+          const Param& beta = *m.parameters()[1];
+          const double count = static_cast<double>(n) * inner;
+          const auto at = [&](int b, int ch, int s) {
+            return (static_cast<std::int64_t>(b) * c + ch) * inner + s;
+          };
+          for (int ch = 0; ch < c; ++ch) {
+            double mean = run_mean[static_cast<std::size_t>(ch)];
+            double var = run_var[static_cast<std::size_t>(ch)];
+            if (training) {
+              mean = 0.0;
+              var = 0.0;
+              for (int b = 0; b < n; ++b)
+                for (int s = 0; s < inner; ++s) mean += x[at(b, ch, s)];
+              mean /= count;
+              for (int b = 0; b < n; ++b)
+                for (int s = 0; s < inner; ++s) {
+                  const double d = x[at(b, ch, s)] - mean;
+                  var += d * d;
+                }
+              var /= count;
             }
-          double sum_g = 0.0, sum_gn = 0.0;
-          std::size_t k = 0;
-          for (int b = 0; b < n; ++b)
-            for (int s = 0; s < inner; ++s) {
-              const std::int64_t i = (static_cast<std::int64_t>(b) * c + ch) *
-                                         inner + s;
-              const double gov = go[i];
-              sum_g += gov;
-              sum_gn += gov * norm[k++];
-              ASSERT_TRUE(same(gi[i], static_cast<float>(g * istd * gov)))
-                  << "grad_in n=" << n << " c=" << c << " inner=" << inner;
-            }
-          // The grads start at zero and backward adds into them.
-          ASSERT_TRUE(
-              same(gamma.grad.cdata()[ch], 0.0f + static_cast<float>(sum_gn)))
-              << "gamma grad n=" << n << " c=" << c << " inner=" << inner;
-          ASSERT_TRUE(
-              same(beta.grad.cdata()[ch], 0.0f + static_cast<float>(sum_g)))
-              << "beta grad n=" << n << " c=" << c << " inner=" << inner;
+            const double istd = 1.0 / std::sqrt(var + 1e-5);
+            const float g = gamma.value.cdata()[ch];
+            const float bt = beta.value.cdata()[ch];
+            std::vector<float> norm;
+            double sum_g = 0.0, sum_gn = 0.0;
+            for (int b = 0; b < n; ++b)
+              for (int s = 0; s < inner; ++s) {
+                const std::int64_t i = at(b, ch, s);
+                norm.push_back(static_cast<float>((x[i] - mean) * istd));
+                ASSERT_TRUE(same(y[i], __builtin_fmaf(g, norm.back(), bt)))
+                    << "y " << where;
+                const double gov = go[i];
+                sum_g += gov;
+                sum_gn += gov * norm.back();
+              }
+            std::size_t k = 0;
+            for (int b = 0; b < n; ++b)
+              for (int s = 0; s < inner; ++s) {
+                const std::int64_t i = at(b, ch, s);
+                const double gov = go[i];
+                const double nv = norm[k++];
+                const float want =
+                    training ? static_cast<float>(
+                                   g * istd *
+                                   (gov - sum_g / count - nv * sum_gn / count))
+                             : static_cast<float>(g * istd * gov);
+                ASSERT_TRUE(same(gi[i], want)) << "grad_in " << where;
+              }
+            // The grads start at zero and backward adds into them.
+            ASSERT_TRUE(
+                same(gamma.grad.cdata()[ch], 0.0f + static_cast<float>(sum_gn)))
+                << "gamma grad " << where;
+            ASSERT_TRUE(
+                same(beta.grad.cdata()[ch], 0.0f + static_cast<float>(sum_g)))
+                << "beta grad " << where;
+          }
         }
       }
     }
